@@ -257,4 +257,38 @@ void WriteBuildMetadata(std::FILE* json) {
                NAVARCHOS_BUILD_TYPE, NAVARCHOS_CXX_FLAGS);
 }
 
+void Fingerprint::Add(double value) {
+  unsigned char bytes[sizeof(double)];
+  __builtin_memcpy(bytes, &value, sizeof(double));
+  for (unsigned char byte : bytes) {
+    hash_ ^= byte;
+    hash_ *= 0x100000001b3ull;
+  }
+}
+
+void Fingerprint::AddRun(const core::FleetRunResult& run) {
+  Add(run.alarms.size());
+  for (const auto& alarm : run.alarms) {
+    Add(static_cast<std::int64_t>(alarm.vehicle_id));
+    Add(alarm.timestamp);
+    Add(alarm.score);
+    Add(alarm.threshold);
+  }
+  for (const auto& samples : run.scored_samples) {
+    Add(samples.size());
+    for (const auto& sample : samples)
+      for (double score : sample.scores) Add(score);
+  }
+  for (const auto& quality : run.quality) {
+    Add(quality.records_seen);
+    Add(quality.RecordsDropped());
+  }
+}
+
+std::uint64_t RunFingerprint(const core::FleetRunResult& run) {
+  Fingerprint fp;
+  fp.AddRun(run);
+  return fp.value();
+}
+
 }  // namespace navarchos::bench

@@ -8,10 +8,12 @@
 #ifndef NAVARCHOS_BENCH_COMMON_H_
 #define NAVARCHOS_BENCH_COMMON_H_
 
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
 
+#include "core/fleet_runner.h"
 #include "eval/experiment.h"
 #include "runtime/runtime_config.h"
 #include "telemetry/fleet.h"
@@ -76,6 +78,31 @@ void WriteBuildMetadata(std::FILE* json);
 void WriteSettingFigureSvg(const std::vector<GridRecord>& grid,
                            const std::string& setting, const std::string& name,
                            const BenchOptions& options);
+
+/// Order-sensitive FNV-1a over the bytes of a value sequence (integers are
+/// hashed as doubles): the determinism fingerprint of every bench. Two runs
+/// that fold equal sequences have equal fingerprints.
+class Fingerprint {
+ public:
+  /// Folds the eight bytes of `value`.
+  void Add(double value);
+  /// Folds `value` as a double.
+  void Add(std::int64_t value) { Add(static_cast<double>(value)); }
+  /// Folds `value` as a double.
+  void Add(std::size_t value) { Add(static_cast<double>(value)); }
+  /// Folds a run result: its alarms in release order (vehicle, timestamp,
+  /// score, threshold), every vehicle's per-sample scores, and every
+  /// vehicle's records_seen and RecordsDropped().
+  void AddRun(const core::FleetRunResult& run);
+  /// The hash of everything folded so far.
+  std::uint64_t value() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 0xcbf29ce484222325ull;
+};
+
+/// Fingerprint of one run result (Fingerprint::AddRun on a fresh hash).
+std::uint64_t RunFingerprint(const core::FleetRunResult& run);
 
 }  // namespace navarchos::bench
 

@@ -30,25 +30,6 @@ namespace {
 constexpr double kMinutesPerDay = 24.0 * 60.0;
 constexpr int kHorizonDays = 30;
 
-/// Order-sensitive FNV-1a over the bytes of a double sequence.
-class Fingerprint {
- public:
-  void Add(double value) {
-    unsigned char bytes[sizeof(double)];
-    __builtin_memcpy(bytes, &value, sizeof(double));
-    for (unsigned char byte : bytes) {
-      hash_ ^= byte;
-      hash_ *= 0x100000001b3ull;
-    }
-  }
-  void Add(std::int64_t value) { Add(static_cast<double>(value)); }
-  void Add(std::size_t value) { Add(static_cast<double>(value)); }
-  std::uint64_t value() const { return hash_; }
-
- private:
-  std::uint64_t hash_ = 0xcbf29ce484222325ull;
-};
-
 /// One (config, thread-count) service run.
 struct Measurement {
   int threads = 0;
@@ -165,17 +146,11 @@ Measurement MeasureAt(int threads, const Variant& variant,
   m.latency_p50_ms = PercentileMs(&latencies_ms, 0.50);
   m.latency_p99_ms = PercentileMs(&latencies_ms, 0.99);
 
-  Fingerprint fp;
-  fp.Add(result.alarms.size());
-  for (const core::Alarm& alarm : result.alarms) {
-    fp.Add(static_cast<std::int64_t>(alarm.vehicle_id));
-    fp.Add(alarm.timestamp);
-    fp.Add(alarm.channel);
-    fp.Add(alarm.score);
-    fp.Add(alarm.threshold);
-  }
+  // The shared run fingerprint, plus every sample's consensus vote and
+  // every vehicle's retrain and veto counters.
+  bench::Fingerprint fp;
+  fp.AddRun(result);
   for (const auto& samples : result.scored_samples) {
-    fp.Add(samples.size());
     for (const core::ScoredSample& sample : samples) {
       fp.Add(static_cast<std::int64_t>(sample.votes));
       fp.Add(static_cast<std::int64_t>(sample.ensemble_live));

@@ -21,27 +21,8 @@
 namespace navarchos {
 namespace {
 
-/// Order-sensitive FNV-1a over the bytes of a double sequence.
-class Fingerprint {
- public:
-  void Add(double value) {
-    unsigned char bytes[sizeof(double)];
-    __builtin_memcpy(bytes, &value, sizeof(double));
-    for (unsigned char byte : bytes) {
-      hash_ ^= byte;
-      hash_ *= 0x100000001b3ull;
-    }
-  }
-  void Add(std::int64_t value) { Add(static_cast<double>(value)); }
-  void Add(std::size_t value) { Add(static_cast<double>(value)); }
-  std::uint64_t value() const { return hash_; }
-
- private:
-  std::uint64_t hash_ = 0xcbf29ce484222325ull;
-};
-
 std::uint64_t FleetFingerprint(const telemetry::FleetDataset& fleet) {
-  Fingerprint fp;
+  bench::Fingerprint fp;
   for (const auto& vehicle : fleet.vehicles) {
     fp.Add(static_cast<std::int64_t>(vehicle.spec.id));
     fp.Add(vehicle.events.size());
@@ -55,26 +36,8 @@ std::uint64_t FleetFingerprint(const telemetry::FleetDataset& fleet) {
   return fp.value();
 }
 
-std::uint64_t RunFingerprint(const core::FleetRunResult& run) {
-  Fingerprint fp;
-  fp.Add(run.alarms.size());
-  for (const auto& alarm : run.alarms) {
-    fp.Add(static_cast<std::int64_t>(alarm.vehicle_id));
-    fp.Add(alarm.timestamp);
-    fp.Add(alarm.score);
-    fp.Add(alarm.threshold);
-  }
-  for (const auto& samples : run.scored_samples) {
-    fp.Add(samples.size());
-    for (const auto& sample : samples)
-      for (double score : sample.scores) fp.Add(score);
-  }
-  for (const auto& quality : run.quality) fp.Add(quality.RecordsDropped());
-  return fp.value();
-}
-
 std::uint64_t GridFingerprint(const std::vector<eval::CellResult>& cells) {
-  Fingerprint fp;
+  bench::Fingerprint fp;
   fp.Add(cells.size());
   for (const auto& cell : cells) {
     fp.Add(static_cast<std::int64_t>(cell.ph_days));
@@ -127,7 +90,7 @@ int Main(int argc, char** argv) {
     timer.Reset();
     const auto run = core::RunFleet(fleet, base, at.Runtime());
     m.run_fleet_seconds = timer.ElapsedSeconds();
-    m.run_fingerprint = RunFingerprint(run);
+    m.run_fingerprint = bench::RunFingerprint(run);
 
     eval::SweepConfig sweep;
     timer.Reset();

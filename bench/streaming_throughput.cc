@@ -23,46 +23,6 @@
 namespace navarchos {
 namespace {
 
-/// Order-sensitive FNV-1a over the bytes of a double sequence.
-class Fingerprint {
- public:
-  void Add(double value) {
-    unsigned char bytes[sizeof(double)];
-    __builtin_memcpy(bytes, &value, sizeof(double));
-    for (unsigned char byte : bytes) {
-      hash_ ^= byte;
-      hash_ *= 0x100000001b3ull;
-    }
-  }
-  void Add(std::int64_t value) { Add(static_cast<double>(value)); }
-  void Add(std::size_t value) { Add(static_cast<double>(value)); }
-  std::uint64_t value() const { return hash_; }
-
- private:
-  std::uint64_t hash_ = 0xcbf29ce484222325ull;
-};
-
-std::uint64_t RunFingerprint(const core::FleetRunResult& run) {
-  Fingerprint fp;
-  fp.Add(run.alarms.size());
-  for (const auto& alarm : run.alarms) {
-    fp.Add(static_cast<std::int64_t>(alarm.vehicle_id));
-    fp.Add(alarm.timestamp);
-    fp.Add(alarm.score);
-    fp.Add(alarm.threshold);
-  }
-  for (const auto& samples : run.scored_samples) {
-    fp.Add(samples.size());
-    for (const auto& sample : samples)
-      for (double score : sample.scores) fp.Add(score);
-  }
-  for (const auto& quality : run.quality) {
-    fp.Add(quality.records_seen);
-    fp.Add(quality.RecordsDropped());
-  }
-  return fp.value();
-}
-
 struct Measurement {
   int threads = 0;
   double seconds = 0.0;
@@ -119,7 +79,7 @@ Measurement MeasureAt(int threads,
       m.seconds > 0 ? static_cast<double>(stream.size()) / m.seconds : 0.0;
   m.p50_latency_us = PercentileUs(&latencies_us, 0.50);
   m.p99_latency_us = PercentileUs(&latencies_us, 0.99);
-  m.fingerprint = RunFingerprint(svc.TakeResult());
+  m.fingerprint = bench::RunFingerprint(svc.TakeResult());
   return m;
 }
 

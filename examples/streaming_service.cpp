@@ -1,18 +1,26 @@
 // Streaming service demo: live fleet monitoring over one multiplexed feed,
 // with durable checkpoint/restore and an optional TCP front end.
 //
+// Every role serves the fleet through shard::ShardGroup: N FleetService
+// shards behind a consistent-hash router, with a fleet aggregator merging
+// the shards back into ONE totally ordered alarm / history stream. --shards
+// defaults to 1, and the output is bit-identical to the unsharded service
+// at any shard x thread count.
+//
 // 1. Simulate a small fleet and flatten it into the interleaved SensorFrame
 //    stream a live telemetry gateway would deliver (all vehicles mixed,
 //    ordered by time).
-// 2. Feed the stream into service::FleetService: frames are routed to
-//    per-vehicle bounded ingest queues and monitored concurrently on a
-//    worker pool, while an alarm callback consumes alarms live, in the
-//    deterministic total order. With --snapshot-every N the service also
-//    writes a durable checkpoint every N submitted frames.
+// 2. Feed the stream into the group: frames are routed to per-vehicle
+//    bounded ingest queues and monitored concurrently on one worker pool,
+//    while an alarm callback consumes alarms live, in the deterministic
+//    total order. With --snapshot-every N the group also writes a durable
+//    checkpoint every N submitted frames.
 // 3. Drain (graceful shutdown), then show that the collected result is the
-//    one a replay at any other thread count would produce.
+//    one an unsharded serial replay of the same stream produces.
 //
-// Restore mode (--restore <path>) rebuilds the service from a checkpoint
+// A checkpoint is a DIRECTORY at any shard count: one snapshot per shard
+// plus a CRC'd fleet.manifest, whose atomic rename is the commit point.
+// Restore mode (--restore <dir>) rebuilds the whole group from a checkpoint
 // written by a previous - possibly SIGKILLed - run, resumes the stream from
 // the checkpointed cursor, and produces the same total alarm order as an
 // uninterrupted run (restore-equals-uninterrupted).
@@ -23,55 +31,45 @@
 //   ./build/examples/streaming_service --listen 7600 &
 //   ./build/examples/streaming_service --connect 7600
 //
-// The server feeds every received frame into its FleetService and (with
-// --verify) checks the drained result against an in-process replay of the
+// The server opens one listener per shard (shard 0 on the --listen port)
+// and, when sharded, advertises the shard map in every WELCOME. The client
+// bootstraps the map from the --connect port and routes each vehicle to its
+// home shard over one resumable session per shard. With --verify the
+// server checks the drained result against an in-process replay of the
 // same deterministic stream - the loopback run is bit-identical. A client
 // cut mid-stream (--abort-after N, or a real SIGKILL) leaves the server's
-// session cursor intact; rerunning the client with --resume continues from
-// the last acknowledged frame and the final output is still identical.
+// session cursors intact; rerunning the client with --resume continues
+// from the last acknowledged frame and the final output is still identical.
 //
 // History mode (--history-dir, any role): every scored sample is appended
-// to an on-disk anomaly history log in the ordered-release order, and the
-// log answers RANK / TIMELINE / COMOVE queries - locally (--query with
+// to an on-disk anomaly history log in the fleet-wide release order, and
+// the log answers RANK / TIMELINE / COMOVE queries - locally (--query with
 // --history-dir) or over the wire from a running server (--query with
 // --connect). The query output is printed deterministically (%.17g
 // doubles) so two runs over identical logs diff clean.
 //
-// Observability (any role): every service keeps a unified metrics
-// registry (monotonic counters, high-water gauges, latency histograms).
+// Observability (any role): every shard keeps a unified metrics registry
+// (monotonic counters, high-water gauges, latency histograms).
 // --stats-every N prints one diffable counters line per N frames,
-// --stats-out writes the final snapshot's text rendering to a file, and
-// --query stats scrapes a running server over the wire (--fleet merges
-// every shard of a sharded server). Scraping is invisible to the metrics
-// themselves, so the wire-scraped rendering of a drained server is
-// byte-identical to its in-process --stats-out file.
-//
-// Sharded mode (--shards N, in-process or server role) splits the fleet
-// across N shards - each with its own per-vehicle lanes (and, in the server
-// role, its own TCP listener) - behind a consistent-hash router, with a
-// fleet aggregator merging the shards back into ONE totally ordered alarm /
-// history stream. The output is bit-identical to the unsharded run at any
-// shard x thread combination. With --snapshot-every the sharded run writes
-// a fleet checkpoint DIRECTORY (one snapshot per shard plus a CRC'd
-// manifest; the manifest rename is the commit point) and --restore rebuilds
-// the whole group from that directory. A sharded server advertises its
-// shard map in every WELCOME; a --sharded client bootstraps the map from
-// the --connect port and routes each vehicle to its home shard.
+// --stats-out writes the final fleet snapshot's text rendering to a file,
+// and --query stats scrapes a running server over the wire (--fleet merges
+// every shard). Scraping is invisible to the metrics themselves, so the
+// wire-scraped rendering of a drained server is byte-identical to its
+// in-process --stats-out file.
 //
 // Build & run:  ./build/examples/streaming_service
-// Flags (in-process mode):
+// Flags (in-process role):
 //   --threads N          worker threads (default 4)
-//   --shards N           shard the fleet across N in-process shards
+//   --shards N           shards of the fleet (default 1)
 //   --snapshot-every N   checkpoint every N submitted frames (default off)
-//   --snapshot-path P    checkpoint file (default streaming_service.snapshot;
-//                        a DIRECTORY when --shards > 1)
-//   --restore P          restore from checkpoint P, then resume the stream
-//                        (a fleet checkpoint directory when --shards > 1)
+//   --snapshot-path D    checkpoint directory (default streaming_service.fleet)
+//   --restore D          restore from checkpoint directory D, then resume
+//                        the stream (same --shards as the checkpointing run)
 //   --alarm-log P        write the final alarm list (total order) to P
 //   --history-dir D      append the anomaly history log under directory D
 //   --ensemble-k K       monitor with a rolling consensus ensemble of K
-//                        members instead of the single *Ref* model (server
-//                        and sharded roles honour these three flags too)
+//                        members instead of the single *Ref* model (the
+//                        server role honours these three flags too)
 //   --ensemble-m M       members that must agree before an alarm passes
 //                        (default: config default, currently 3)
 //   --retrain-every N    samples between background member retrains
@@ -80,25 +78,24 @@
 //   --stats-out P        write the drained metrics snapshot rendering to P
 // Flags (server role):
 //   --listen N           serve ingest on port N (0 = ephemeral)
-//   --shards N           one listener + service per shard (bootstrap =
-//                        shard 0 on the --listen port, rest ephemeral)
+//   --shards N           one listener + service per shard (default 1;
+//                        bootstrap = shard 0 on the --listen port, rest
+//                        ephemeral)
 //   --port-file P        write the bound (bootstrap) port to P
 //   --sessions N         finished client runs to wait for (default 1; a
-//                        sharded client finishes one session per shard)
+//                        client finishes one session per shard)
 //   --verify             after draining, compare against an in-process replay
 //   --history-dir D      write the history log AND serve QUERY messages
-//   --stats-out P        drain BEFORE stopping the listener, write the
+//   --stats-out P        drain BEFORE stopping the listeners, write the
 //                        quiesced metrics rendering to P, keep answering
 //                        STATS scrapes until shutdown
 //   --await-scrapes N    with --stats-out: stop only after N STATS
 //                        scrapes have been answered
 // Flags (client role):
-//   --connect N          stream the demo fleet to port N
-//   --sharded            learn the shard map from WELCOME and route frames
-//                        to their home shards (one session per shard)
+//   --connect N          stream the demo fleet to the server on port N
 //   --host H             server address (default 127.0.0.1)
 //   --session S          session id (default "demo"; resume key)
-//   --resume             resume the session from the server's cursor
+//   --resume             resume every shard session from its server cursor
 //   --abort-after N      simulate a crash: exit without FIN after N frames
 // Flags (query role; --query picks the role):
 //   --query K            rank | timeline | comove | stats
@@ -220,31 +217,22 @@ service::ServiceConfig MakeServiceConfig(const util::Args& args, int threads) {
   return config;
 }
 
-/// Opens (or recovers) the history log under `dir` and hooks it into the
-/// service's ordered release path. Null `dir` leaves history off.
-std::unique_ptr<history::HistoryService> AttachHistory(
-    service::FleetService* svc, const std::string& dir) {
-  if (dir.empty()) return nullptr;
-  auto service = std::make_unique<history::HistoryService>(dir);
-  const util::Status status = service->Open();
-  if (!status.ok()) {
-    std::fprintf(stderr, "history open failed: %s\n", status.message().c_str());
-    return nullptr;
-  }
-  history::HistoryService* raw = service.get();
-  raw->AttachMetrics(svc->metrics());
-  svc->set_history_callback(
-      [raw](const history::HistoryRecord& record) { raw->Append(record); });
-  // Flush the log inside every checkpoint's quiesced window, so a crash
-  // never leaves a checkpoint claiming records the log does not hold.
-  svc->set_checkpoint_barrier([raw] { return raw->Flush(); });
-  return service;
+
+/// The fleet group every role serves through: --shards shards (default 1,
+/// the identity fleet) on one pool of --threads workers.
+shard::ShardGroupConfig MakeGroupConfig(const util::Args& args) {
+  shard::ShardGroupConfig config;
+  config.service =
+      MakeServiceConfig(args, static_cast<int>(args.GetInt("threads", 4)));
+  config.shard_count = static_cast<std::uint32_t>(args.GetInt("shards", 1));
+  return config;
 }
 
-/// ShardGroup flavour of AttachHistory: the group's history callback sees
+/// Opens (or recovers) the history log under `dir` and hooks it into the
+/// group's ordered release path. The group's history callback sees
 /// fleet-sequenced records in the fleet-wide total order, so one log
-/// serves the whole sharded fleet.
-std::unique_ptr<history::HistoryService> AttachHistoryGroup(
+/// serves the whole fleet. Empty `dir` leaves history off.
+std::unique_ptr<history::HistoryService> AttachFleetHistory(
     shard::ShardGroup* group, const std::string& dir) {
   if (dir.empty()) return nullptr;
   auto service = std::make_unique<history::HistoryService>(dir);
@@ -259,6 +247,8 @@ std::unique_ptr<history::HistoryService> AttachHistoryGroup(
   raw->AttachMetrics(group->shard_service(0)->metrics());
   group->set_history_callback(
       [raw](const history::HistoryRecord& record) { raw->Append(record); });
+  // Flush the log inside every checkpoint's quiesced window, so a crash
+  // never leaves a checkpoint claiming records the log does not hold.
   group->set_checkpoint_barrier([raw] { return raw->Flush(); });
   return service;
 }
@@ -451,33 +441,44 @@ int RunQueryRole(const util::Args& args) {
   return 0;
 }
 
-bool AlarmsIdentical(const std::vector<core::Alarm>& a,
-                     const std::vector<core::Alarm>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i)
-    if (a[i].vehicle_id != b[i].vehicle_id ||
-        a[i].timestamp != b[i].timestamp || a[i].score != b[i].score)
+/// True when `live` released the same alarms as `replay` and every vehicle
+/// saw and scored as many records, so a lost or doubled frame shows even
+/// when it moves no alarm.
+bool SameOutput(const core::FleetRunResult& replay,
+                const core::FleetRunResult& live) {
+  if (replay.alarms.size() != live.alarms.size() ||
+      replay.quality.size() != live.quality.size())
+    return false;
+  for (std::size_t i = 0; i < replay.alarms.size(); ++i) {
+    const core::Alarm& a = replay.alarms[i];
+    const core::Alarm& b = live.alarms[i];
+    if (a.vehicle_id != b.vehicle_id || a.timestamp != b.timestamp ||
+        a.channel != b.channel || a.score != b.score ||
+        a.threshold != b.threshold)
+      return false;
+  }
+  for (std::size_t v = 0; v < replay.quality.size(); ++v)
+    if (replay.quality[v].records_seen != live.quality[v].records_seen ||
+        replay.scored_samples[v].size() != live.scored_samples[v].size())
       return false;
   return true;
 }
 
-/// Sharded server role: one TCP listener per shard over one ShardGroup.
-/// Every WELCOME advertises the shard map; the drained fleet-wide result
-/// is bit-identical to the unsharded run.
-int RunShardedServer(const util::Args& args, int shards) {
-  const int threads = static_cast<int>(args.GetInt("threads", 4));
+/// Server role: one TCP listener per shard over one ShardGroup, serving
+/// until the expected sessions finished, then draining and reporting -
+/// optionally verifying against the in-process replay. Every WELCOME of a
+/// sharded server advertises the shard map.
+int RunServerRole(const util::Args& args) {
   const auto listen_port =
       static_cast<std::uint16_t>(args.GetInt("listen", 0));
   const std::string port_file = args.GetString("port-file", "");
   const auto sessions = static_cast<std::uint64_t>(args.GetInt("sessions", 1));
   const std::string alarm_log = args.GetString("alarm-log", "");
 
-  shard::ShardGroupConfig group_config;
-  group_config.service = MakeServiceConfig(args, threads);
-  group_config.shard_count = static_cast<std::uint32_t>(shards);
-  shard::ShardGroup group(group_config);
+  shard::ShardGroup group(MakeGroupConfig(args));
+  const int shards = static_cast<int>(group.shard_map().shard_count());
   const std::unique_ptr<history::HistoryService> history =
-      AttachHistoryGroup(&group, args.GetString("history-dir", ""));
+      AttachFleetHistory(&group, args.GetString("history-dir", ""));
   if (!args.GetString("history-dir", "").empty() && history == nullptr)
     return 2;
 
@@ -490,7 +491,7 @@ int RunShardedServer(const util::Args& args, int shards) {
     std::fprintf(stderr, "listen failed: %s\n", status.message().c_str());
     return 2;
   }
-  std::printf("listening on port %u (%d shards", server.port(0), shards);
+  std::printf("listening on port %u (%d shard(s)", server.port(0), shards);
   for (int shard = 1; shard < shards; ++shard)
     std::printf(", %u", server.port(shard));
   std::printf(")\n");
@@ -505,7 +506,7 @@ int RunShardedServer(const util::Args& args, int shards) {
     std::fclose(file);
   }
 
-  // A sharded client FINishes one session per shard.
+  // A client FINishes one session per shard.
   server.WaitForFinishedSessions(sessions *
                                  static_cast<std::uint64_t>(shards));
   const std::string stats_out = args.GetString("stats-out", "");
@@ -574,117 +575,21 @@ int RunShardedServer(const util::Args& args, int shards) {
     const auto stream = telemetry::InterleaveFleetStream(fleet);
     const auto replay = service::RunStream(
         stream, service::VehicleIdsOf(fleet), MakeServiceConfig(args, 1));
-    const bool identical = AlarmsIdentical(replay.alarms, live.alarms);
-    std::printf("in-process replay of the same stream: %s\n",
-                identical ? "identical alarms (sharded == unsharded)"
+    const bool identical = SameOutput(replay, live);
+    std::printf("unsharded in-process replay of the same stream: %s\n",
+                identical ? "identical output (wire == in-process)"
                           : "MISMATCH");
     return identical ? 0 : 1;
   }
   return 0;
 }
 
-/// Server role: serve TCP ingest until the expected sessions finished, then
-/// drain and report - optionally verifying against the in-process replay.
-int RunServer(const util::Args& args) {
-  const int threads = static_cast<int>(args.GetInt("threads", 4));
-  const auto listen_port =
-      static_cast<std::uint16_t>(args.GetInt("listen", 0));
-  const std::string port_file = args.GetString("port-file", "");
-  const auto sessions = static_cast<std::uint64_t>(args.GetInt("sessions", 1));
-  const std::string alarm_log = args.GetString("alarm-log", "");
-
-  service::FleetService svc(MakeServiceConfig(args, threads));
-  const std::unique_ptr<history::HistoryService> history =
-      AttachHistory(&svc, args.GetString("history-dir", ""));
-  if (!args.GetString("history-dir", "").empty() && history == nullptr)
-    return 2;
-  net::ServerConfig server_config;
-  server_config.port = listen_port;
-  server_config.history = history.get();
-  net::IngestServer server(&svc, server_config);
-  const util::Status status = server.Start();
-  if (!status.ok()) {
-    std::fprintf(stderr, "listen failed: %s\n", status.message().c_str());
-    return 2;
-  }
-  std::printf("listening on port %u\n", server.port());
-  std::fflush(stdout);  // scripts background this role and tail the log
-  if (!port_file.empty()) {
-    std::FILE* file = std::fopen(port_file.c_str(), "w");
-    if (file == nullptr) {
-      std::fprintf(stderr, "cannot write port file %s\n", port_file.c_str());
-      return 2;
-    }
-    std::fprintf(file, "%u\n", server.port());
-    std::fclose(file);
-  }
-
-  server.WaitForFinishedSessions(sessions);
-  const std::string stats_out = args.GetString("stats-out", "");
-  const std::int64_t await_scrapes = args.GetInt("await-scrapes", 0);
-  if (stats_out.empty() && await_scrapes <= 0) {
-    server.Stop();
-    svc.Drain();
-  } else {
-    // Observability epilogue, as in the sharded role: drain first so the
-    // registry is quiescent, publish the in-process aggregate, keep the
-    // listener answering STATS until the expected scrapes arrived.
-    svc.Drain();
-    if (!stats_out.empty()) {
-      if (!WriteStatsFile(stats_out, svc.SnapshotStats())) {
-        std::fprintf(stderr, "cannot write stats file %s\n",
-                     stats_out.c_str());
-        return 2;
-      }
-      std::printf("final stats written to %s\n", stats_out.c_str());
-      std::fflush(stdout);
-    }
-    while (server.stats().stats_served <
-           static_cast<std::uint64_t>(await_scrapes))
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    server.Stop();
-  }
-  if (!FinishHistory(history.get())) return 2;
-
-  const net::ServerStats net_stats = server.stats();
-  const auto stats = svc.stats();
-  const auto live = svc.TakeResult();
-  std::printf(
-      "served %llu frames (%llu admitted, %llu shed, %llu duplicates "
-      "skipped) over %llu connections, %llu resume(s)\n",
-      static_cast<unsigned long long>(net_stats.frames_received),
-      static_cast<unsigned long long>(net_stats.frames_admitted),
-      static_cast<unsigned long long>(net_stats.frames_shed),
-      static_cast<unsigned long long>(net_stats.duplicates_skipped),
-      static_cast<unsigned long long>(net_stats.connections_accepted),
-      static_cast<unsigned long long>(net_stats.resumes));
-  std::printf("processed %zu frames, %zu alarms\n", stats.frames_processed,
-              live.alarms.size());
-
-  if (!alarm_log.empty() && !WriteAlarmLog(alarm_log, live.alarms)) {
-    std::fprintf(stderr, "cannot write alarm log %s\n", alarm_log.c_str());
-    return 2;
-  }
-
-  if (args.Has("verify")) {
-    const telemetry::FleetDataset fleet = MakeFleet();
-    const auto stream = telemetry::InterleaveFleetStream(fleet);
-    const auto replay = service::RunStream(
-        stream, service::VehicleIdsOf(fleet), MakeServiceConfig(args, 1));
-    const bool identical = AlarmsIdentical(replay.alarms, live.alarms);
-    std::printf("in-process replay of the same stream: %s\n",
-                identical ? "identical alarms (loopback == in-process)"
-                          : "MISMATCH");
-    return identical ? 0 : 1;
-  }
-  return 0;
-}
-
-/// Sharded client role: bootstrap the shard map from the --connect port,
-/// then stream every frame to its vehicle's home shard (one resumable
-/// session per shard). Resume replays the whole stream; frames the shards
-/// already decided are skipped locally.
-int RunShardedClient(const util::Args& args) {
+/// Client role: bootstrap the shard map from the --connect port, then
+/// stream every frame to its vehicle's home shard (one resumable session
+/// per shard). Resume replays the whole stream; frames the shards already
+/// decided are skipped locally. --abort-after simulates a mid-stream crash
+/// (no FIN).
+int RunClientRole(const util::Args& args) {
   shard::ShardedClientConfig config;
   config.client.host = args.GetString("host", "127.0.0.1");
   config.client.port = static_cast<std::uint16_t>(args.GetInt("connect", 0));
@@ -716,9 +621,9 @@ int RunShardedClient(const util::Args& args) {
     }
     if (abort_after > 0 &&
         ++submitted >= static_cast<std::uint64_t>(abort_after)) {
-      // Simulated crash across every shard session at once; a later
-      // --resume run replays the stream and each shard skips its decided
-      // prefix.
+      // Simulated crash across every shard session at once: from the
+      // server's viewpoint this is a client SIGKILL. A later --resume run
+      // replays the stream and each shard skips its decided prefix.
       client.Abort();
       std::printf("aborted after %llu frames\n",
                   static_cast<unsigned long long>(submitted));
@@ -736,69 +641,11 @@ int RunShardedClient(const util::Args& args) {
   return 0;
 }
 
-/// Client role: stream the demo fleet to a server, resuming from the
-/// server's cursor; --abort-after simulates a mid-stream crash (no FIN).
-int RunClient(const util::Args& args) {
-  net::ClientConfig config;
-  config.host = args.GetString("host", "127.0.0.1");
-  config.port = static_cast<std::uint16_t>(args.GetInt("connect", 0));
-  config.session_id = args.GetString("session", "demo");
-  const std::int64_t abort_after = args.GetInt("abort-after", 0);
-  const bool resume = args.Has("resume");
-
-  const telemetry::FleetDataset fleet = MakeFleet();
-  const auto stream = telemetry::InterleaveFleetStream(fleet);
-
-  net::IngestClient client(config);
-  util::Status status = client.Connect(service::VehicleIdsOf(fleet), resume);
-  if (!status.ok()) {
-    std::fprintf(stderr, "connect failed: %s\n", status.message().c_str());
-    return 2;
-  }
-  const std::uint64_t start = client.next_seq();
-  std::printf("%s session '%s' at frame %llu of %zu\n",
-              resume ? "resumed" : "started", config.session_id.c_str(),
-              static_cast<unsigned long long>(start), stream.size());
-
-  std::uint64_t sent = 0;
-  for (std::uint64_t i = start; i < stream.size(); ++i) {
-    status = client.Send(stream[i]);
-    if (!status.ok()) {
-      std::fprintf(stderr, "send failed at frame %llu: %s\n",
-                   static_cast<unsigned long long>(i),
-                   status.message().c_str());
-      return 2;
-    }
-    if (abort_after > 0 &&
-        ++sent >= static_cast<std::uint64_t>(abort_after)) {
-      // Simulated crash: drop the connection with no flush and no FIN -
-      // from the server's viewpoint this is a client SIGKILL. Un-ACKed
-      // frames are re-sent by the next client that resumes the session.
-      client.Abort();
-      std::printf("aborted after %llu frames (next unsent seq %llu)\n",
-                  static_cast<unsigned long long>(sent),
-                  static_cast<unsigned long long>(client.next_seq()));
-      return 0;
-    }
-  }
-  status = client.Finish();
-  if (!status.ok()) {
-    std::fprintf(stderr, "finish failed: %s\n", status.message().c_str());
-    return 2;
-  }
-  std::printf("streamed %llu frames, %zu shed (NACKed)\n",
-              static_cast<unsigned long long>(client.stats().frames_sent),
-              client.nacks().size());
-  return 0;
-}
-
-/// Sharded in-process role: the default demo, but the fleet is split
-/// across N shards behind the consistent-hash router. The fleet-wide
-/// alarm/history output is bit-identical to the unsharded run, and the
-/// checkpoint is a fleet checkpoint DIRECTORY (per-shard snapshots + a
-/// CRC'd manifest) that --restore rebuilds the whole group from.
-int RunShardedInProcess(const util::Args& args, int shards) {
-  const int threads = static_cast<int>(args.GetInt("threads", 4));
+/// In-process role (the default): the recorded feed through one ShardGroup
+/// with blocking backpressure. The fleet-wide alarm / history output is
+/// bit-identical to the unsharded run, and a checkpoint is a fleet
+/// checkpoint directory that --restore rebuilds the whole group from.
+int RunInProcessRole(const util::Args& args) {
   const std::int64_t snapshot_every = args.GetInt("snapshot-every", 0);
   const std::string snapshot_path =
       args.GetString("snapshot-path", "streaming_service.fleet");
@@ -807,19 +654,20 @@ int RunShardedInProcess(const util::Args& args, int shards) {
   const std::int64_t stats_every = args.GetInt("stats-every", 0);
   const std::string stats_out = args.GetString("stats-out", "");
 
+  // A recorded interleaved feed (stand-in for the live gateway).
   const telemetry::FleetDataset fleet = MakeFleet();
   const auto stream = telemetry::InterleaveFleetStream(fleet);
-  std::printf("interleaved feed: %zu frames from %zu vehicles, %d shards\n",
-              stream.size(), fleet.vehicles.size(), shards);
+  shard::ShardGroup group(MakeGroupConfig(args));
+  std::printf("interleaved feed: %zu frames from %zu vehicles, %u shard(s)\n",
+              stream.size(), fleet.vehicles.size(),
+              group.shard_map().shard_count());
 
-  shard::ShardGroupConfig group_config;
-  group_config.service = MakeServiceConfig(args, threads);
-  group_config.shard_count = static_cast<std::uint32_t>(shards);
-  shard::ShardGroup group(group_config);
   std::size_t resume_cursor = 0;
   if (!restore_path.empty()) {
     // Verify every per-shard snapshot against the manifest's CRCs, rebuild
-    // all shards and the aggregator, then resume from the fleet cursor.
+    // all shards - lanes, monitors, sequence counters, released alarms -
+    // and the aggregator, then resume from the fleet cursor (every frame
+    // before it was processed and released before the checkpoint).
     const util::Status status = group.RestoreFromDir(restore_path);
     if (!status.ok()) {
       std::fprintf(stderr, "restore failed: %s\n", status.message().c_str());
@@ -834,13 +682,13 @@ int RunShardedInProcess(const util::Args& args, int shards) {
   }
 
   const std::unique_ptr<history::HistoryService> history =
-      AttachHistoryGroup(&group, args.GetString("history-dir", ""));
+      AttachFleetHistory(&group, args.GetString("history-dir", ""));
   if (!args.GetString("history-dir", "").empty() && history == nullptr)
     return 2;
 
   std::size_t live_alarms = 0;
   group.set_alarm_callback([&live_alarms](const core::Alarm& alarm) {
-    if (++live_alarms <= 5)
+    if (++live_alarms <= 5)  // print the first few, count the rest
       std::printf("  live alarm: vehicle %d, minute %lld, channel %s\n",
                   alarm.vehicle_id, static_cast<long long>(alarm.timestamp),
                   alarm.channel_name.c_str());
@@ -863,7 +711,7 @@ int RunShardedInProcess(const util::Args& args, int shards) {
       }
     }
   }
-  group.Drain();
+  group.Drain();  // graceful shutdown
   if (!FinishHistory(history.get())) return 2;
   if (!stats_out.empty() && !WriteStatsFile(stats_out, group.FleetSnapshot())) {
     std::fprintf(stderr, "cannot write stats file %s\n", stats_out.c_str());
@@ -881,14 +729,13 @@ int RunShardedInProcess(const util::Args& args, int shards) {
     return 2;
   }
 
-  // The house invariant, extended: the sharded fleet's total order equals
-  // the unsharded single-threaded replay bit for bit.
+  // The house invariant: the fleet's total order equals the unsharded
+  // single-threaded replay bit for bit, at any shard count.
   const auto replay = service::RunStream(stream, service::VehicleIdsOf(fleet),
                                          MakeServiceConfig(args, 1));
-  const bool identical = AlarmsIdentical(replay.alarms, live.alarms);
+  const bool identical = SameOutput(replay, live);
   std::printf("unsharded serial replay of the recorded stream: %s\n",
-              identical ? "identical alarms (sharded == unsharded)"
-                        : "MISMATCH");
+              identical ? "identical output (replay == live)" : "MISMATCH");
   return identical ? 0 : 1;
 }
 
@@ -896,105 +743,12 @@ int RunShardedInProcess(const util::Args& args, int shards) {
 
 int main(int argc, char** argv) {
   const util::Args args(argc, argv);
-  const int shards = static_cast<int>(args.GetInt("shards", 1));
   if (args.Has("query")) return RunQueryRole(args);
-  if (args.Has("listen"))
-    return shards > 1 ? RunShardedServer(args, shards) : RunServer(args);
-  if (args.Has("connect"))
-    return args.Has("sharded") ? RunShardedClient(args) : RunClient(args);
-  if (shards > 1) return RunShardedInProcess(args, shards);
-
-  const int threads = static_cast<int>(args.GetInt("threads", 4));
-  const std::int64_t snapshot_every = args.GetInt("snapshot-every", 0);
-  const std::string snapshot_path =
-      args.GetString("snapshot-path", "streaming_service.snapshot");
-  const std::string restore_path = args.GetString("restore", "");
-  const std::string alarm_log = args.GetString("alarm-log", "");
-  const std::int64_t stats_every = args.GetInt("stats-every", 0);
-  const std::string stats_out = args.GetString("stats-out", "");
-
-  // --- 1. A recorded interleaved feed (stand-in for the live gateway). ----
-  const telemetry::FleetDataset fleet = MakeFleet();
-  const auto stream = telemetry::InterleaveFleetStream(fleet);
-  std::printf("interleaved feed: %zu frames from %zu vehicles\n",
-              stream.size(), fleet.vehicles.size());
-
-  // --- 2. The streaming service, with blocking backpressure. --------------
-  const service::ServiceConfig config = MakeServiceConfig(args, threads);
-
-  service::FleetService svc(config);
-  std::size_t resume_cursor = 0;
-  if (!restore_path.empty()) {
-    // Rebuild the whole service - lanes, monitors, sequence counters, the
-    // released alarms - from the checkpoint, then resume the stream from the
-    // checkpointed ingest cursor (every frame before it was fully processed
-    // and released before the checkpoint was written).
-    const util::Status status = svc.RestoreFromFile(restore_path);
-    if (!status.ok()) {
-      std::fprintf(stderr, "restore failed: %s\n", status.message().c_str());
-      return 2;
-    }
-    resume_cursor = svc.stats().frames_accepted;
-    std::printf("restored %zu vehicles from %s, resuming at frame %zu\n",
-                svc.vehicle_count(), restore_path.c_str(), resume_cursor);
-  } else {
-    for (const auto& vehicle : fleet.vehicles) svc.RegisterVehicle(vehicle.spec.id);
-  }
-
-  const std::unique_ptr<history::HistoryService> history =
-      AttachHistory(&svc, args.GetString("history-dir", ""));
-  if (!args.GetString("history-dir", "").empty() && history == nullptr)
-    return 2;
-
-  std::size_t live_alarms = 0;
-  svc.set_alarm_callback([&live_alarms](const core::Alarm& alarm) {
-    if (++live_alarms <= 5)  // print the first few, count the rest
-      std::printf("  live alarm: vehicle %d, minute %lld, channel %s\n",
-                  alarm.vehicle_id, static_cast<long long>(alarm.timestamp),
-                  alarm.channel_name.c_str());
-  });
-
-  std::size_t since_snapshot = 0;
-  for (std::size_t i = resume_cursor; i < stream.size(); ++i) {  // live ingest
-    svc.Submit(stream[i]);
-    if (stats_every > 0 &&
-        (i + 1) % static_cast<std::size_t>(stats_every) == 0)
-      PrintStatsLine(svc.SnapshotStats());
-    if (snapshot_every > 0 &&
-        ++since_snapshot >= static_cast<std::size_t>(snapshot_every)) {
-      since_snapshot = 0;
-      const util::Status status = svc.Checkpoint(snapshot_path);
-      if (!status.ok()) {
-        std::fprintf(stderr, "checkpoint failed: %s\n", status.message().c_str());
-        return 2;
-      }
-    }
-  }
-  svc.Drain();  // graceful shutdown
-  if (!FinishHistory(history.get())) return 2;
-  if (!stats_out.empty() && !WriteStatsFile(stats_out, svc.SnapshotStats())) {
-    std::fprintf(stderr, "cannot write stats file %s\n", stats_out.c_str());
+  if (args.GetInt("shards", 1) < 1) {
+    std::fprintf(stderr, "--shards must be at least 1\n");
     return 2;
   }
-
-  // --- 3. The drained result is deterministic: a serial replay agrees. ----
-  const auto stats = svc.stats();
-  const auto live = svc.TakeResult();
-  std::printf("\nprocessed %zu/%zu frames, %zu alarms (%zu seen live)\n",
-              stats.frames_processed, stats.frames_submitted,
-              live.alarms.size(), live_alarms);
-
-  if (!alarm_log.empty() && !WriteAlarmLog(alarm_log, live.alarms)) {
-    std::fprintf(stderr, "cannot write alarm log %s\n", alarm_log.c_str());
-    return 2;
-  }
-
-  service::ServiceConfig replay_config = config;
-  replay_config.runtime = runtime::RuntimeConfig{1};
-  const auto replay = service::RunStream(stream, service::VehicleIdsOf(fleet),
-                                         replay_config);
-  const bool identical = AlarmsIdentical(replay.alarms, live.alarms);
-  std::printf("serial replay of the recorded stream: %s\n",
-              identical ? "identical alarms (replay == live)" : "MISMATCH");
-  return identical ? 0 : 1;
+  if (args.Has("listen")) return RunServerRole(args);
+  if (args.Has("connect")) return RunClientRole(args);
+  return RunInProcessRole(args);
 }

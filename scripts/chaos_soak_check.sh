@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Chaos soak check (the CI `chaos-soak` job).
+# Chaos soak check (a step of the CI `build-test` job).
 #
 # Soaks the ingest front end under scripted transport hostility and holds
 # it to the chaos invariant:

@@ -42,29 +42,12 @@ SCHEMAS = {
         ("seconds", *_NUMBER),
         ("frames_per_sec", *_NUMBER),
     ],
-    "net_throughput": [
-        ("threads", *_INT),
-        ("frames_per_sec", *_NUMBER),
-        ("p50_latency_us", *_NUMBER),
-        ("p99_latency_us", *_NUMBER),
-        ("reconnect_ms", *_NUMBER),
-    ],
     "chaos_sweep": [
         ("threads", *_INT),
         ("seconds", *_NUMBER),
         ("frames_per_sec", *_NUMBER),
         ("faults_injected", *_INT),
         ("reconnects", *_INT),
-    ],
-    "history_sweep": [
-        ("threads", *_INT),
-        ("append_records_per_sec", *_NUMBER),
-        ("segment_bytes_per_vehicle", *_NUMBER),
-        ("rank_p50_ms", *_NUMBER),
-        ("rank_p99_ms", *_NUMBER),
-        ("timeline_p50_ms", *_NUMBER),
-        ("timeline_p99_ms", *_NUMBER),
-        ("fingerprint", *_STR),
     ],
     "ensemble_sweep": [
         ("setting", *_STR),
@@ -81,28 +64,11 @@ SCHEMAS = {
         ("suppressed_alarms", *_INT),
         ("fingerprint", *_STR),
     ],
-    "shard_sweep": [
-        ("shards", *_INT),
-        ("threads", *_INT),
-        ("frames_per_sec", *_NUMBER),
-        ("checkpoint_ms", *_NUMBER),
-        ("checkpoint_bytes", *_INT),
-        ("fingerprint", *_STR),
-    ],
     "scaling_sweep": [
         ("threads", *_INT),
         ("generate_seconds", *_NUMBER),
         ("run_fleet_seconds", *_NUMBER),
         ("run_grid_seconds", *_NUMBER),
-    ],
-    "obs_overhead": [
-        ("threads", *_INT),
-        ("mode", *_STR),
-        ("seconds", *_NUMBER),
-        ("frames_per_sec", *_NUMBER),
-        ("scrapes", *_INT),
-        ("snapshot_bytes", *_INT),
-        ("fingerprint", *_STR),
     ],
 }
 

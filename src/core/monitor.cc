@@ -443,6 +443,25 @@ std::optional<Alarm> VehicleMonitor::ProcessRecord(const telemetry::Record& reco
   return alarm;
 }
 
+void SaveAlarm(persist::Encoder& encoder, const Alarm& alarm) {
+  encoder.PutI32(alarm.vehicle_id);
+  encoder.PutI64(alarm.timestamp);
+  encoder.PutU64(alarm.channel);
+  encoder.PutString(alarm.channel_name);
+  encoder.PutDouble(alarm.score);
+  encoder.PutDouble(alarm.threshold);
+}
+
+bool RestoreAlarm(persist::Decoder& decoder, Alarm* alarm) {
+  alarm->vehicle_id = decoder.GetI32();
+  alarm->timestamp = decoder.GetI64();
+  alarm->channel = static_cast<std::size_t>(decoder.GetU64());
+  alarm->channel_name = decoder.GetString();
+  alarm->score = decoder.GetDouble();
+  alarm->threshold = decoder.GetDouble();
+  return decoder.ok();
+}
+
 namespace {
 
 // Monitor chunk-payload layout version; bumped on any change below.

@@ -132,6 +132,17 @@ struct Alarm {
   double threshold = 0.0;           ///< Threshold in force at the violation.
 };
 
+/// Minimum encoded size of one alarm (fixed fields + empty name), used to
+/// bound an alarm count claimed by a snapshot before allocating.
+inline constexpr std::size_t kMinAlarmBytes = 4 + 8 + 8 + 4 + 8 + 8;
+
+/// Appends `alarm` to a snapshot chunk. The service's "sink" chunk and the
+/// fleet manifest's "agg" chunk both store released alarms this way.
+void SaveAlarm(persist::Encoder& encoder, const Alarm& alarm);
+
+/// Reads one alarm written by SaveAlarm; false when the chunk runs short.
+bool RestoreAlarm(persist::Decoder& decoder, Alarm* alarm);
+
 /// Per-channel calibration statistics of one reference cycle.
 struct CalibrationStats {
   std::vector<double> mean;    ///< Per-channel mean of the burn-in scores.

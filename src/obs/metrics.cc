@@ -111,6 +111,13 @@ std::size_t Histogram::BucketOf(std::uint64_t value) {
   return static_cast<std::size_t>(std::bit_width(value));
 }
 
+std::uint64_t Histogram::count() const {
+  std::uint64_t total = 0;
+  for (const auto& cell : buckets_)
+    total += cell.load(std::memory_order_relaxed);
+  return total;
+}
+
 // ------------------------------------------------------------ HistogramSample
 
 std::uint64_t HistogramSample::ValueAtQuantile(double q) const {
@@ -188,10 +195,13 @@ StatsSnapshot MetricsRegistry::Snapshot() const {
   for (const auto& [name, histogram] : histograms_) {
     HistogramSample sample;
     sample.name = name;
-    sample.count = histogram->count();
     sample.sum = histogram->sum();
-    for (std::size_t b = 0; b < Histogram::kBucketCount; ++b)
+    // The count is the sum of the cells this snapshot read, so it always
+    // agrees with them even while other threads keep recording.
+    for (std::size_t b = 0; b < Histogram::kBucketCount; ++b) {
       sample.buckets[b] = histogram->bucket(b);
+      sample.count += sample.buckets[b];
+    }
     snapshot.histograms.push_back(std::move(sample));
   }
   return snapshot;  // std::map iteration is already name-sorted

@@ -141,14 +141,13 @@ class Histogram {
   /// Records one observation.
   void Record(std::uint64_t value) {
     buckets_[BucketOf(value)].fetch_add(1, std::memory_order_relaxed);
-    count_.fetch_add(1, std::memory_order_relaxed);
     sum_.fetch_add(value, std::memory_order_relaxed);
   }
 
-  /// Observations recorded so far.
-  std::uint64_t count() const {
-    return count_.load(std::memory_order_relaxed);
-  }
+  /// Observations recorded so far: the sum of the bucket cells. There is
+  /// no separate count cell, so a reader racing Record can never see a
+  /// count that disagrees with the cells it read.
+  std::uint64_t count() const;
 
   /// Sum of all recorded values (exact: u64 addition, no floats).
   std::uint64_t sum() const { return sum_.load(std::memory_order_relaxed); }
@@ -160,7 +159,6 @@ class Histogram {
 
  private:
   std::array<std::atomic<std::uint64_t>, kBucketCount> buckets_{};
-  std::atomic<std::uint64_t> count_{0};
   std::atomic<std::uint64_t> sum_{0};
 };
 

@@ -19,29 +19,6 @@ namespace {
 /// last_global_seq (history-record attribution of end-of-stream flushes).
 constexpr std::uint32_t kServiceStateVersion = 2;
 
-/// Minimum encoded size of one alarm (fixed fields + empty name), used to
-/// bound the alarm count claimed by a snapshot before allocating.
-constexpr std::size_t kMinAlarmBytes = 4 + 8 + 8 + 4 + 8 + 8;
-
-void SaveAlarm(persist::Encoder& encoder, const core::Alarm& alarm) {
-  encoder.PutI32(alarm.vehicle_id);
-  encoder.PutI64(alarm.timestamp);
-  encoder.PutU64(alarm.channel);
-  encoder.PutString(alarm.channel_name);
-  encoder.PutDouble(alarm.score);
-  encoder.PutDouble(alarm.threshold);
-}
-
-bool RestoreAlarm(persist::Decoder& decoder, core::Alarm* alarm) {
-  alarm->vehicle_id = decoder.GetI32();
-  alarm->timestamp = decoder.GetI64();
-  alarm->channel = static_cast<std::size_t>(decoder.GetU64());
-  alarm->channel_name = decoder.GetString();
-  alarm->score = decoder.GetDouble();
-  alarm->threshold = decoder.GetDouble();
-  return decoder.ok();
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------- OrderedSink
@@ -125,7 +102,7 @@ void FleetService::OrderedSink::Save(persist::Encoder& encoder) const {
   encoder.PutU64(next_release_);
   encoder.PutU64(frames_processed_);
   encoder.PutU64(alarms_.size());
-  for (const core::Alarm& alarm : alarms_) SaveAlarm(encoder, alarm);
+  for (const core::Alarm& alarm : alarms_) core::SaveAlarm(encoder, alarm);
 }
 
 bool FleetService::OrderedSink::Restore(persist::Decoder& decoder) {
@@ -134,7 +111,7 @@ bool FleetService::OrderedSink::Restore(persist::Decoder& decoder) {
   const std::uint64_t frames_processed = decoder.GetU64();
   const std::uint64_t alarm_count = decoder.GetU64();
   if (!decoder.ok()) return false;
-  if (alarm_count > decoder.remaining() / kMinAlarmBytes) {
+  if (alarm_count > decoder.remaining() / core::kMinAlarmBytes) {
     decoder.Fail("sink alarm count exceeds payload size");
     return false;
   }
@@ -147,7 +124,7 @@ bool FleetService::OrderedSink::Restore(persist::Decoder& decoder) {
   alarms_.reserve(static_cast<std::size_t>(alarm_count));
   for (std::uint64_t i = 0; i < alarm_count; ++i) {
     core::Alarm alarm;
-    if (!RestoreAlarm(decoder, &alarm)) return false;
+    if (!core::RestoreAlarm(decoder, &alarm)) return false;
     alarms_.push_back(std::move(alarm));
   }
   return decoder.ok();

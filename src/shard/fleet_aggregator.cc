@@ -6,33 +6,6 @@
 
 namespace navarchos::shard {
 
-namespace {
-
-/// Minimum encoded size of one alarm (fixed fields + empty name), bounding
-/// counts claimed by a manifest before any allocation.
-constexpr std::size_t kMinAlarmBytes = 4 + 8 + 8 + 4 + 8 + 8;
-
-void SaveAlarm(persist::Encoder& encoder, const core::Alarm& alarm) {
-  encoder.PutI32(alarm.vehicle_id);
-  encoder.PutI64(alarm.timestamp);
-  encoder.PutU64(alarm.channel);
-  encoder.PutString(alarm.channel_name);
-  encoder.PutDouble(alarm.score);
-  encoder.PutDouble(alarm.threshold);
-}
-
-bool RestoreAlarm(persist::Decoder& decoder, core::Alarm* alarm) {
-  alarm->vehicle_id = decoder.GetI32();
-  alarm->timestamp = decoder.GetI64();
-  alarm->channel = static_cast<std::size_t>(decoder.GetU64());
-  alarm->channel_name = decoder.GetString();
-  alarm->score = decoder.GetDouble();
-  alarm->threshold = decoder.GetDouble();
-  return decoder.ok();
-}
-
-}  // namespace
-
 FleetAggregator::FleetAggregator(std::uint32_t shard_count)
     : shards_(shard_count) {
   NAVARCHOS_CHECK(shard_count >= 1);
@@ -194,7 +167,7 @@ void FleetAggregator::Save(persist::Encoder& encoder) const {
   }
   encoder.PutU64(next_fleet_release_);
   encoder.PutU64(alarms_.size());
-  for (const core::Alarm& alarm : alarms_) SaveAlarm(encoder, alarm);
+  for (const core::Alarm& alarm : alarms_) core::SaveAlarm(encoder, alarm);
   encoder.PutU64(last_fleet_seq_.size());
   // std::map iteration: the encoding is deterministic (sorted by vehicle).
   std::map<std::int32_t, std::uint64_t> sorted(last_fleet_seq_.begin(),
@@ -210,7 +183,7 @@ bool FleetAggregator::Restore(persist::Decoder& decoder) {
   const std::uint64_t next_release = decoder.GetU64();
   const std::uint64_t alarm_count = decoder.GetU64();
   if (!decoder.ok()) return false;
-  if (alarm_count > decoder.remaining() / kMinAlarmBytes) {
+  if (alarm_count > decoder.remaining() / core::kMinAlarmBytes) {
     decoder.Fail("aggregator alarm count exceeds payload size");
     return false;
   }
@@ -219,7 +192,7 @@ bool FleetAggregator::Restore(persist::Decoder& decoder) {
   alarms_.reserve(static_cast<std::size_t>(alarm_count));
   for (std::uint64_t i = 0; i < alarm_count; ++i) {
     core::Alarm alarm;
-    if (!RestoreAlarm(decoder, &alarm)) return false;
+    if (!core::RestoreAlarm(decoder, &alarm)) return false;
     alarms_.push_back(std::move(alarm));
   }
   const std::uint64_t vehicle_count = decoder.GetU64();

@@ -130,6 +130,7 @@ core::FleetRunResult ShardGroup::TakeResult() {
   result.scored_samples.resize(vehicles_.size());
   result.calibrations.resize(vehicles_.size());
   result.quality.resize(vehicles_.size());
+  result.ensemble_stats.resize(vehicles_.size());
   for (std::size_t i = 0; i < vehicles_.size(); ++i) {
     const VehicleSlot& slot = vehicles_[i];
     core::FleetRunResult& home = shard_results[static_cast<std::size_t>(
@@ -138,6 +139,7 @@ core::FleetRunResult ShardGroup::TakeResult() {
     result.scored_samples[i] = std::move(home.scored_samples[lane]);
     result.calibrations[i] = std::move(home.calibrations[lane]);
     result.quality[i] = std::move(home.quality[lane]);
+    result.ensemble_stats[i] = home.ensemble_stats[lane];
   }
   return result;
 }
@@ -367,6 +369,10 @@ ShardGroupStats ShardGroup::stats() const {
     total.frames_rejected += stats.frames_rejected;
     total.frames_processed += stats.frames_processed;
     total.alarms_emitted += stats.alarms_emitted;
+    total.retrains_started += stats.retrains_started;
+    total.retrains_completed += stats.retrains_completed;
+    total.retrains_failed += stats.retrains_failed;
+    total.consensus_suppressed_alarms += stats.consensus_suppressed_alarms;
   }
   return total;
 }

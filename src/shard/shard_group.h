@@ -124,7 +124,7 @@ class ShardGroup {
   /// Copy of the fleet-ordered released alarms (quiescent callers only).
   std::vector<core::Alarm> released_alarms() const;
 
-  /// Sums of the per-shard service counters.
+  /// Sums of every per-shard service counter, ensemble counters included.
   ShardGroupStats stats() const;
 
   /// Merged fleet-wide metrics snapshot: the per-shard registry snapshots

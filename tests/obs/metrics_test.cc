@@ -4,8 +4,10 @@
 // codec, and no truncated input may crash the decoder or trigger an
 // unbounded allocation (the persist robustness contract).
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -229,6 +231,47 @@ TEST(SnapshotCodecTest, EveryPrefixTruncationFailsCleanly) {
     StatsSnapshot out;
     EXPECT_FALSE(DecodeStatsSnapshot(decoder, &out)) << "prefix " << len;
   }
+}
+
+TEST(ConcurrentSnapshotTest, SnapshotsTakenWhileThreadsRecordAlwaysDecode) {
+  // A STATS scrape snapshots the registry while pumps keep recording. The
+  // snapshot's count must agree with the cells it read, or the decoder
+  // rejects the scrape as corrupt ("cells do not sum to its count").
+  MetricsRegistry registry;
+  Histogram* latency = registry.histogram("service.admission_to_release_us");
+  Histogram* depth = registry.histogram("service.lane_depth");
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> recorders;
+  for (int t = 0; t < 4; ++t) {
+    recorders.emplace_back([&stop, latency, depth, t] {
+      std::uint64_t value = static_cast<std::uint64_t>(t) + 1;
+      while (!stop.load(std::memory_order_relaxed)) {
+        latency->Record(value);
+        depth->Record(value & 63);
+        value = value * 6364136223846793005ull + 1442695040888963407ull;
+        value >>= value % 64;
+      }
+    });
+  }
+  // No ASSERT inside the loop: the recorders must be joined either way.
+  std::uint64_t last_count = 0;
+  bool decoded_all = true;
+  for (int i = 0; i < 2000 && decoded_all; ++i) {
+    persist::Encoder encoder;
+    EncodeStatsSnapshot(encoder, registry.Snapshot());
+    persist::Decoder decoder(encoder.bytes());
+    StatsSnapshot decoded;
+    decoded_all = DecodeStatsSnapshot(decoder, &decoded);
+    EXPECT_TRUE(decoded_all) << "snapshot " << i;
+    const HistogramSample* sample =
+        decoded.FindHistogram("service.admission_to_release_us");
+    if (sample == nullptr) continue;
+    EXPECT_GE(sample->count, last_count) << "snapshot " << i;
+    last_count = sample->count;
+  }
+  stop.store(true, std::memory_order_relaxed);
+  for (std::thread& recorder : recorders) recorder.join();
+  EXPECT_GT(latency->count(), 0u);
 }
 
 TEST(SnapshotCodecTest, UnsortedNamesAreRejected) {

@@ -3,7 +3,8 @@
 // is rejected), a scrape over loopback TCP returns exactly the snapshot
 // the service holds in process, and on a 4-shard fleet the per-shard wire
 // scrapes merge to the in-process fleet aggregate - the scrape itself
-// never shows up in what it measures.
+// never shows up in what it measures. Scraping is also output-transparent:
+// a run scraped mid-stream computes exactly what an unscraped run does.
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -240,9 +241,10 @@ TEST(StatsScrapeTest, LiveConnectionScrapesBetweenBatches) {
 }
 
 TEST(StatsScrapeTest, FourShardWireScrapesMergeToTheFleetAggregate) {
-  // The CI obs-scrape job in miniature: a 4-shard fleet, in-process fleet
-  // snapshot after drain, then a wire scrape of every shard; the merged
-  // scrape must equal the in-process aggregate byte for byte.
+  // The recovery matrix's wire scrape check in miniature: a 4-shard fleet,
+  // in-process fleet snapshot after drain, then a wire scrape of every
+  // shard; the merged scrape must equal the in-process aggregate byte for
+  // byte.
   telemetry::FleetConfig fleet_config = telemetry::FleetConfig::TestScale();
   fleet_config.days = 10;
   const auto fleet = telemetry::GenerateFleet(fleet_config);
@@ -283,6 +285,82 @@ TEST(StatsScrapeTest, FourShardWireScrapesMergeToTheFleetAggregate) {
 
   server.Stop();
   (void)group.TakeResult();
+}
+
+/// Streams `stream` through a service of `threads` workers. With
+/// `scrape_every` > 0 it also does what a STATS request costs the service
+/// every `scrape_every` frames and once after the drain: snapshot the
+/// registry, encode the snapshot and render its text form.
+core::FleetRunResult RunScrapedEvery(
+    const std::vector<telemetry::SensorFrame>& stream,
+    const std::vector<std::int32_t>& ids, int threads,
+    std::size_t scrape_every) {
+  service::ServiceConfig config;
+  config.monitor.transform_options.window = 60;
+  config.monitor.transform_options.stride = 10;
+  config.monitor.profile_minutes = 400.0;
+  config.monitor.threshold.burn_in_minutes = 120.0;
+  config.monitor.threshold.persistence_minutes = 60.0;
+  config.runtime = runtime::RuntimeConfig{threads};
+  config.queue_capacity = 32;
+  service::FleetService svc(config);
+  for (const auto id : ids) svc.RegisterVehicle(id);
+  const auto scrape = [&svc] {
+    const obs::StatsSnapshot snapshot = svc.SnapshotStats();
+    persist::Encoder encoder;
+    obs::EncodeStatsSnapshot(encoder, snapshot);
+    EXPECT_FALSE(encoder.bytes().empty());
+    EXPECT_FALSE(obs::FormatSnapshot(snapshot).empty());
+  };
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    svc.Submit(stream[i]);
+    if (scrape_every > 0 && (i + 1) % scrape_every == 0) scrape();
+  }
+  svc.Drain();
+  if (scrape_every > 0) scrape();
+  return svc.TakeResult();
+}
+
+TEST(StatsScrapeTest, ScrapingMidStreamNeverChangesTheOutput) {
+  // Output transparency: runs scraped every 200 frames at threads 1 and 4
+  // release the same alarms, per-sample scores and quality counters as an
+  // unscraped serial run.
+  telemetry::FleetConfig fleet_config = telemetry::FleetConfig::TestScale();
+  fleet_config.days = 30;
+  const auto fleet = telemetry::GenerateFleet(fleet_config);
+  const auto stream = telemetry::InterleaveFleetStream(fleet);
+  const auto ids = service::VehicleIdsOf(fleet);
+  const core::FleetRunResult reference =
+      RunScrapedEvery(stream, ids, /*threads=*/1, /*scrape_every=*/0);
+  ASSERT_FALSE(reference.alarms.empty());
+
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const core::FleetRunResult scraped =
+        RunScrapedEvery(stream, ids, threads, /*scrape_every=*/200);
+    ASSERT_EQ(scraped.alarms.size(), reference.alarms.size());
+    for (std::size_t i = 0; i < reference.alarms.size(); ++i) {
+      EXPECT_EQ(scraped.alarms[i].vehicle_id, reference.alarms[i].vehicle_id);
+      EXPECT_EQ(scraped.alarms[i].timestamp, reference.alarms[i].timestamp);
+      EXPECT_EQ(scraped.alarms[i].score, reference.alarms[i].score);
+      EXPECT_EQ(scraped.alarms[i].threshold, reference.alarms[i].threshold);
+    }
+    ASSERT_EQ(scraped.scored_samples.size(), reference.scored_samples.size());
+    for (std::size_t v = 0; v < reference.scored_samples.size(); ++v) {
+      ASSERT_EQ(scraped.scored_samples[v].size(),
+                reference.scored_samples[v].size());
+      for (std::size_t i = 0; i < reference.scored_samples[v].size(); ++i)
+        EXPECT_EQ(scraped.scored_samples[v][i].scores,
+                  reference.scored_samples[v][i].scores);
+    }
+    ASSERT_EQ(scraped.quality.size(), reference.quality.size());
+    for (std::size_t v = 0; v < reference.quality.size(); ++v) {
+      EXPECT_EQ(scraped.quality[v].records_seen,
+                reference.quality[v].records_seen);
+      EXPECT_EQ(scraped.quality[v].RecordsDropped(),
+                reference.quality[v].RecordsDropped());
+    }
+  }
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 // emitted byte. Verified on a clean stream and on a corrupted stream whose
 // reorderings/duplicates exercise the reorder buffers on every shard.
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -62,6 +63,7 @@ service::ServiceConfig ServiceConfigWith(
 /// Everything a sharded run emits, in emission order.
 struct ShardedRun {
   core::FleetRunResult result;
+  service::ServiceStats stats;                ///< group.stats() after Drain.
   std::vector<core::Alarm> live_alarms;       ///< Alarm-callback order.
   std::vector<history::HistoryRecord> records;  ///< History-callback order.
 };
@@ -84,8 +86,35 @@ ShardedRun RunSharded(const std::vector<telemetry::SensorFrame>& stream,
   for (const auto id : ids) group.RegisterVehicle(id);
   for (const auto& frame : stream) group.Submit(frame);
   group.Drain();
+  run.stats = group.stats();
   run.result = group.TakeResult();
   return run;
+}
+
+/// Counters of the unsharded serial service over the same stream.
+service::ServiceStats UnshardedStats(
+    const std::vector<telemetry::SensorFrame>& stream,
+    const std::vector<std::int32_t>& ids, const core::MonitorConfig& monitor) {
+  service::FleetService svc(ServiceConfigWith(1, monitor));
+  for (const auto id : ids) svc.RegisterVehicle(id);
+  for (const auto& frame : stream) svc.Submit(frame);
+  svc.Drain();
+  const service::ServiceStats stats = svc.stats();
+  (void)svc.TakeResult();
+  return stats;
+}
+
+void ExpectStatsIdentical(const service::ServiceStats& a,
+                          const service::ServiceStats& b) {
+  EXPECT_EQ(a.frames_submitted, b.frames_submitted);
+  EXPECT_EQ(a.frames_accepted, b.frames_accepted);
+  EXPECT_EQ(a.frames_rejected, b.frames_rejected);
+  EXPECT_EQ(a.frames_processed, b.frames_processed);
+  EXPECT_EQ(a.alarms_emitted, b.alarms_emitted);
+  EXPECT_EQ(a.retrains_started, b.retrains_started);
+  EXPECT_EQ(a.retrains_completed, b.retrains_completed);
+  EXPECT_EQ(a.retrains_failed, b.retrains_failed);
+  EXPECT_EQ(a.consensus_suppressed_alarms, b.consensus_suppressed_alarms);
 }
 
 void ExpectAlarmsIdentical(const std::vector<core::Alarm>& a,
@@ -143,6 +172,16 @@ void ExpectResultsIdentical(const core::FleetRunResult& a,
     ASSERT_EQ(a.quality[v].reordered_recovered,
               b.quality[v].reordered_recovered);
   }
+  ASSERT_EQ(a.ensemble_stats.size(), b.ensemble_stats.size());
+  for (std::size_t v = 0; v < a.ensemble_stats.size(); ++v) {
+    SCOPED_TRACE("vehicle " + std::to_string(v));
+    const ensemble::EnsembleStats& x = a.ensemble_stats[v];
+    const ensemble::EnsembleStats& y = b.ensemble_stats[v];
+    ASSERT_EQ(x.retrains_started, y.retrains_started);
+    ASSERT_EQ(x.retrains_completed, y.retrains_completed);
+    ASSERT_EQ(x.retrains_failed, y.retrains_failed);
+    ASSERT_EQ(x.consensus_suppressed_alarms, y.consensus_suppressed_alarms);
+  }
 }
 
 void CheckInvariantOn(const std::vector<telemetry::SensorFrame>& stream,
@@ -155,6 +194,7 @@ void CheckInvariantOn(const std::vector<telemetry::SensorFrame>& stream,
                                          /*threads=*/1, monitor);
   ExpectResultsIdentical(reference, baseline.result);
   ExpectAlarmsIdentical(reference.alarms, baseline.live_alarms);
+  ExpectStatsIdentical(UnshardedStats(stream, ids, monitor), baseline.stats);
 
   for (const int shards : {1, 2, 4}) {
     for (const int threads : {1, 4}) {
@@ -165,6 +205,7 @@ void CheckInvariantOn(const std::vector<telemetry::SensorFrame>& stream,
       ExpectResultsIdentical(baseline.result, run.result);
       ExpectAlarmsIdentical(baseline.live_alarms, run.live_alarms);
       ExpectRecordsIdentical(baseline.records, run.records);
+      ExpectStatsIdentical(baseline.stats, run.stats);
     }
   }
 }
@@ -191,11 +232,17 @@ TEST(ShardDeterminismTest, EnsembleEnabledStreamIsIdenticalAcrossShards) {
   // Sharding transparency extended to the consensus ensemble: background
   // retrains run on each shard's own pool, yet the fleet-wide output -
   // including per-record consensus votes - is identical at every shard x
-  // thread combination and equal to the unsharded service.
+  // thread combination and equal to the unsharded service. That covers
+  // the group's ensemble counters too: its summed retrain and veto counts
+  // and its per-vehicle EnsembleStats equal the unsharded run's.
   const auto fleet = telemetry::GenerateFleet(SmallFleetConfig());
   const auto stream = telemetry::InterleaveFleetStream(fleet);
-  CheckInvariantOn(stream, service::VehicleIdsOf(fleet),
-                   EnsembleMonitorConfig());
+  const auto ids = service::VehicleIdsOf(fleet);
+  CheckInvariantOn(stream, ids, EnsembleMonitorConfig());
+  const service::ServiceStats unsharded =
+      UnshardedStats(stream, ids, EnsembleMonitorConfig());
+  EXPECT_GT(unsharded.retrains_completed, 0u);
+  EXPECT_GT(unsharded.consensus_suppressed_alarms, 0u);
 }
 
 TEST(ShardDeterminismTest, HistoryRecordsCarryFleetSequencesOfTheirFrames) {
