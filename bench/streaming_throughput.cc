@@ -7,7 +7,10 @@
 // count must produce a bit-identical run result - the replay-equals-live
 // invariant - and the exit code reflects exactly that; speedups are
 // reported for the perf trajectory but depend on the host's core count
-// (a single-core host necessarily measures ~1x).
+// (a single-core host necessarily measures ~1x). A serial core::RunFleet
+// row over the same fleet comes first, and every worker count prints its
+// frames/sec as a ratio to it: the gap between what the pipeline costs and
+// what the service around it costs.
 #include <algorithm>
 #include <chrono>
 #include <cinttypes>
@@ -16,6 +19,7 @@
 #include <vector>
 
 #include "bench/common.h"
+#include "core/fleet_runner.h"
 #include "service/fleet_service.h"
 #include "telemetry/stream.h"
 #include "util/timer.h"
@@ -100,14 +104,28 @@ int Main(int argc, char** argv) {
   std::printf("frames: %zu   vehicles: %zu   hardware threads: %d\n\n",
               stream.size(), ids.size(), hardware);
 
+  // The pipeline alone: the batch runner over the same fleet, serially.
+  util::Timer batch_timer;
+  (void)core::RunFleet(fleet, monitor, runtime::RuntimeConfig{1});
+  const double batch_seconds = batch_timer.ElapsedSeconds();
+  const double batch_frames_per_sec =
+      batch_seconds > 0 ? static_cast<double>(stream.size()) / batch_seconds
+                        : 0.0;
+  std::printf("RunFleet    %8.2fs   %9.0f frames/s   (serial batch runner)\n",
+              batch_seconds, batch_frames_per_sec);
+  const auto ratio_to_batch = [batch_frames_per_sec](const Measurement& m) {
+    return batch_frames_per_sec > 0 ? m.frames_per_sec / batch_frames_per_sec
+                                    : 0.0;
+  };
+
   std::set<int> counts = {1, 2, 4, hardware};
   std::vector<Measurement> measurements;
   for (int threads : counts) {
     const Measurement m = MeasureAt(threads, stream, ids, monitor);
     std::printf("threads=%-3d %8.2fs   %9.0f frames/s   p50 %8.1fus   "
-                "p99 %9.1fus\n",
+                "p99 %9.1fus   %.2fx RunFleet\n",
                 m.threads, m.seconds, m.frames_per_sec, m.p50_latency_us,
-                m.p99_latency_us);
+                m.p99_latency_us, ratio_to_batch(m));
     std::fflush(stdout);
     measurements.push_back(m);
   }
@@ -135,17 +153,21 @@ int Main(int argc, char** argv) {
   std::fprintf(json, "  \"frames\": %zu,\n", stream.size());
   std::fprintf(json, "  \"deterministic_across_thread_counts\": %s,\n",
                identical ? "true" : "false");
+  std::fprintf(json, "  \"run_fleet_seconds\": %.3f,\n", batch_seconds);
+  std::fprintf(json, "  \"run_fleet_frames_per_sec\": %.1f,\n",
+               batch_frames_per_sec);
   std::fprintf(json, "  \"results\": [\n");
   for (std::size_t i = 0; i < measurements.size(); ++i) {
     const Measurement& m = measurements[i];
     std::fprintf(json,
                  "    {\"threads\": %d, \"seconds\": %.3f, "
                  "\"frames_per_sec\": %.1f, \"p50_latency_us\": %.1f, "
-                 "\"p99_latency_us\": %.1f, \"speedup_vs_1\": %.2f}%s\n",
+                 "\"p99_latency_us\": %.1f, \"speedup_vs_1\": %.2f, "
+                 "\"ratio_to_run_fleet\": %.3f}%s\n",
                  m.threads, m.seconds, m.frames_per_sec, m.p50_latency_us,
                  m.p99_latency_us,
                  m.seconds > 0 ? serial.seconds / m.seconds : 0.0,
-                 i + 1 < measurements.size() ? "," : "");
+                 ratio_to_batch(m), i + 1 < measurements.size() ? "," : "");
   }
   std::fprintf(json, "  ]\n}\n");
   std::fclose(json);

@@ -41,6 +41,7 @@ SCHEMAS = {
         ("threads", *_INT),
         ("seconds", *_NUMBER),
         ("frames_per_sec", *_NUMBER),
+        ("ratio_to_run_fleet", *_NUMBER),
     ],
     "chaos_sweep": [
         ("threads", *_INT),

@@ -273,47 +273,66 @@ util::Status IngestClient::Send(const telemetry::SensorFrame& frame,
 }
 
 util::Status IngestClient::Flush() {
+  const util::Status status = StartFlush();
+  if (!status.ok()) return status;
+  return AwaitFlush();
+}
+
+util::Status IngestClient::StartFlush() {
+  NAVARCHOS_CHECK(inflight_.frames.empty());  // AwaitFlush the last batch
   if (pending_.frames.empty()) return util::Status();
   if (!transport_ || !transport_->valid())
     return util::Status::Error("client is not connected");
   inflight_ = std::move(pending_);
   pending_ = FramesMessage{};
-  OpBudget budget = StartOp();
-  const util::Status status = FlushInflight(&budget);
+  flush_budget_ = StartOp();
+  flush_send_status_ = SendInflight(&flush_budget_);
+  return util::Status();
+}
+
+util::Status IngestClient::AwaitFlush() {
+  if (inflight_.frames.empty()) return util::Status();
+  const util::Status status =
+      FlushInflight(&flush_budget_, flush_send_status_);
   inflight_ = FramesMessage{};
   return status;
 }
 
-util::Status IngestClient::FlushInflight(OpBudget* budget) {
-  const std::uint64_t target = inflight_.first_seq + inflight_.frames.size();
-  while (acked_through_ < target) {
-    // Rewind to the server's cursor: frames below it were decided on a
-    // previous connection; resending them would only be skipped as
-    // duplicates, so drop them here and keep the wire minimal.
-    if (inflight_.first_seq < acked_through_) {
-      const std::size_t decided =
-          static_cast<std::size_t>(acked_through_ - inflight_.first_seq);
-      inflight_.frames.erase(inflight_.frames.begin(),
-                             inflight_.frames.begin() +
-                                 static_cast<std::ptrdiff_t>(decided));
-      // The fleet-seq tail stays parallel to the frames through a rewind.
-      if (!inflight_.fleet_seqs.empty())
-        inflight_.fleet_seqs.erase(inflight_.fleet_seqs.begin(),
-                                   inflight_.fleet_seqs.begin() +
-                                       static_cast<std::ptrdiff_t>(decided));
-      inflight_.first_seq = acked_through_;
-    }
-    util::Status status = SendWithin(budget, EncodeFrames(inflight_));
-    bool fatal = false;
-    if (status.ok()) {
-      ++stats_.batches_sent;
-      status = AwaitAck(budget, target, /*require_ack_message=*/false, &fatal);
-    }
-    if (status.ok()) break;
-    if (fatal) return status;
-    if (!Heal(budget, &status)) return status;
+util::Status IngestClient::SendInflight(OpBudget* budget) {
+  if (acked_through_ >= inflight_.first_seq + inflight_.frames.size())
+    return util::Status();
+  // Rewind to the server's cursor: frames below it were decided on a
+  // previous connection; resending them would only be skipped as
+  // duplicates, so drop them here and keep the wire minimal.
+  if (inflight_.first_seq < acked_through_) {
+    const std::size_t decided =
+        static_cast<std::size_t>(acked_through_ - inflight_.first_seq);
+    inflight_.frames.erase(inflight_.frames.begin(),
+                           inflight_.frames.begin() +
+                               static_cast<std::ptrdiff_t>(decided));
+    // The fleet-seq tail stays parallel to the frames through a rewind.
+    if (!inflight_.fleet_seqs.empty())
+      inflight_.fleet_seqs.erase(inflight_.fleet_seqs.begin(),
+                                 inflight_.fleet_seqs.begin() +
+                                     static_cast<std::ptrdiff_t>(decided));
+    inflight_.first_seq = acked_through_;
   }
-  return util::Status();
+  const util::Status status = SendWithin(budget, EncodeFrames(inflight_));
+  if (status.ok()) ++stats_.batches_sent;
+  return status;
+}
+
+util::Status IngestClient::FlushInflight(OpBudget* budget,
+                                         util::Status status) {
+  const std::uint64_t target = inflight_.first_seq + inflight_.frames.size();
+  while (true) {
+    bool fatal = false;
+    if (status.ok())
+      status = AwaitAck(budget, target, /*require_ack_message=*/false, &fatal);
+    if (status.ok() || fatal) return status;
+    if (!Heal(budget, &status)) return status;
+    status = SendInflight(budget);
+  }
 }
 
 util::Status IngestClient::Finish() {

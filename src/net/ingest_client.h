@@ -148,8 +148,21 @@ class IngestClient {
   /// Sends the buffered partial batch (if any) and blocks until its ACK
   /// arrived, collecting NACKs on the way; transparently reconnects and
   /// resumes from the server's cursor on mid-stream transport failures.
-  /// No-op on an empty buffer.
+  /// No-op on an empty buffer. Exactly StartFlush() then AwaitFlush().
   util::Status Flush();
+
+  /// Send half of Flush: moves the buffered partial batch in flight and
+  /// writes it once, without waiting for its ACK, so a caller driving
+  /// several sessions can have every batch on the wire before it waits
+  /// for any. No-op on an empty buffer. A failed write is not reported
+  /// here - AwaitFlush heals it; only a client that is not connected fails.
+  /// At most one batch is in flight: call AwaitFlush before the next Send.
+  util::Status StartFlush();
+
+  /// Await half of Flush: blocks until the in-flight batch's ACK arrived,
+  /// collecting NACKs; on transport failures reconnects, rewinds the batch
+  /// to the server's cursor and resends it. No-op with nothing in flight.
+  util::Status AwaitFlush();
 
   /// Flushes, sends FIN and blocks for the final ACK (healing across
   /// failures like Flush; a retransmitted FIN after a reconnect is safe -
@@ -237,8 +250,13 @@ class IngestClient {
   /// Blocks for the next complete server message within one wait deadline.
   util::Status NextMessage(OpBudget* budget, WireMessage* out, bool* fatal);
 
-  /// Sends (and on healing, rewinds + resends) inflight_ until its ACK.
-  util::Status FlushInflight(OpBudget* budget);
+  /// Rewinds inflight_ to the server's cursor and writes what remains (no
+  /// write when the cursor already covers the batch).
+  util::Status SendInflight(OpBudget* budget);
+
+  /// Blocks until inflight_'s ACK, healing and resending on transport
+  /// failures. `status` is the outcome of the write that preceded it.
+  util::Status FlushInflight(OpBudget* budget, util::Status status);
 
   /// Blocks until the cursor covers `target`, collecting NACKs; fails on
   /// ERROR messages (fatal), EOF, transport errors or a missed deadline
@@ -265,6 +283,8 @@ class IngestClient {
   MessageReader reader_;
   FramesMessage pending_;   ///< The batch being built.
   FramesMessage inflight_;  ///< The batch being flushed; retained for healing.
+  OpBudget flush_budget_;   ///< Budget of the flush inflight_ belongs to.
+  util::Status flush_send_status_;  ///< Outcome of StartFlush's write.
   std::vector<std::int32_t> vehicle_ids_;  ///< Retained for healing re-HELLOs.
   std::vector<std::uint32_t> fleet_order_;  ///< HELLO tail; parallel to ids.
   ShardMapInfo shard_map_;  ///< From the last WELCOME (unsharded default).

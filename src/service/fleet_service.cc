@@ -23,64 +23,69 @@ constexpr std::uint32_t kServiceStateVersion = 2;
 
 // ---------------------------------------------------------------- OrderedSink
 
-void FleetService::OrderedSink::Complete(
-    std::uint64_t global_seq, std::uint64_t vehicle_seq,
-    std::int32_t vehicle_id, std::uint64_t admit_us,
-    std::vector<core::Alarm> alarms,
-    std::vector<history::HistoryRecord> records) {
-  std::lock_guard<std::mutex> lock(mu_);
-  ++frames_processed_;
+void FleetService::OrderedSink::Deposit(std::vector<Entry>* batch) {
+  std::unique_lock<std::mutex> lock(mu_);
+  for (Entry& entry : *batch) {
+    const std::uint64_t seq = entry.completion.global_seq;
+    window_.Put(seq, std::move(entry));
+  }
+  frames_processed_ += batch->size();
   if (frames_processed_counter_ != nullptr)
-    frames_processed_counter_->IncrementSingleWriter();
-  FrameCompletion completion;
-  completion.global_seq = global_seq;
-  completion.vehicle_seq = vehicle_seq;
-  completion.vehicle_id = vehicle_id;
-  completion.alarms = alarms.size();
-  completion.admit_us = admit_us;
-  pending_.emplace(global_seq, completion);
-  pending_alarms_.emplace(global_seq, std::move(alarms));
-  pending_records_.emplace(global_seq, std::move(records));
+    frames_processed_counter_->Set(frames_processed_);
+  batch->clear();
+  if (releasing_) return;  // the active releaser takes these too
+  releasing_ = true;
 
-  // Release every completion that is now contiguous with the cursor. Worker
-  // scheduling decides only when a completion *arrives*, never when it is
-  // *released*: the release order is the admission order, always.
-  auto it = pending_.find(next_release_);
-  while (it != pending_.end()) {
-    auto alarms_it = pending_alarms_.find(next_release_);
-    for (core::Alarm& alarm : alarms_it->second) {
-      if (alarm_callback) alarm_callback(alarm);
-      if (alarms_counter_ != nullptr) alarms_counter_->IncrementSingleWriter();
-      alarms_.push_back(std::move(alarm));
+  // Release every completion contiguous with the cursor. Worker scheduling
+  // decides only when a completion *arrives*, never when it is *released*:
+  // the release order is the admission order, always. The cursor, the
+  // released-alarm log and its counter advance under the lock; the
+  // callbacks run outside it, so pumps keep depositing meanwhile, and this
+  // thread loops until the front is not ready.
+  while (true) {
+    while (window_.FrontReady()) {
+      Entry entry = window_.PopFront();
+      alarms_.insert(alarms_.end(), entry.alarms.begin(), entry.alarms.end());
+      batch->push_back(std::move(entry));
     }
-    auto records_it = pending_records_.find(next_release_);
+    if (batch->empty()) break;
+    if (alarms_counter_ != nullptr) alarms_counter_->Set(alarms_.size());
+    lock.unlock();
+    RunCallbacks(*batch);
+    batch->clear();
+    lock.lock();
+  }
+  releasing_ = false;
+}
+
+void FleetService::OrderedSink::RunCallbacks(
+    const std::vector<Entry>& released) {
+  for (const Entry& entry : released) {
+    if (alarm_callback)
+      for (const core::Alarm& alarm : entry.alarms) alarm_callback(alarm);
     if (history_callback)
-      for (const history::HistoryRecord& record : records_it->second)
+      for (const history::HistoryRecord& record : entry.records)
         history_callback(record);
-    if (completion_callback) completion_callback(it->second);
+    if (completion_callback) completion_callback(entry.completion);
     // Only sampled frames carry an admission timestamp (0 = unsampled),
     // which keeps the clock reads off the common per-frame path.
-    if (latency_us_ != nullptr && it->second.admit_us != 0)
-      latency_us_->Record(obs::MonotonicMicros() - it->second.admit_us);
-    pending_records_.erase(records_it);
-    pending_alarms_.erase(alarms_it);
-    pending_.erase(it);
-    ++next_release_;
-    it = pending_.find(next_release_);
+    if (latency_us_ != nullptr && entry.completion.admit_us != 0)
+      latency_us_->Record(obs::MonotonicMicros() - entry.completion.admit_us);
   }
 }
 
 void FleetService::OrderedSink::AppendUnsequenced(
-    std::int32_t vehicle_id, std::vector<core::Alarm> alarms,
+    std::vector<core::Alarm> alarms,
     std::vector<history::HistoryRecord> records) {
-  (void)vehicle_id;
-  std::lock_guard<std::mutex> lock(mu_);
-  NAVARCHOS_CHECK(pending_.empty());  // only legal after the drain barrier
-  for (core::Alarm& alarm : alarms) {
-    if (alarm_callback) alarm_callback(alarm);
-    if (alarms_counter_ != nullptr) alarms_counter_->IncrementSingleWriter();
-    alarms_.push_back(std::move(alarm));
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    // Only legal after the drain barrier.
+    NAVARCHOS_CHECK(window_.empty() && !releasing_);
+    alarms_.insert(alarms_.end(), alarms.begin(), alarms.end());
+    if (alarms_counter_ != nullptr) alarms_counter_->Set(alarms_.size());
   }
+  if (alarm_callback)
+    for (const core::Alarm& alarm : alarms) alarm_callback(alarm);
   if (history_callback)
     for (const history::HistoryRecord& record : records)
       history_callback(record);
@@ -98,8 +103,9 @@ std::size_t FleetService::OrderedSink::alarms_emitted() const {
 
 void FleetService::OrderedSink::Save(persist::Encoder& encoder) const {
   std::lock_guard<std::mutex> lock(mu_);
-  NAVARCHOS_CHECK(pending_.empty());  // checkpoint barrier already passed
-  encoder.PutU64(next_release_);
+  // The checkpoint barrier already passed.
+  NAVARCHOS_CHECK(window_.empty() && !releasing_);
+  encoder.PutU64(window_.front());
   encoder.PutU64(frames_processed_);
   encoder.PutU64(alarms_.size());
   for (const core::Alarm& alarm : alarms_) core::SaveAlarm(encoder, alarm);
@@ -115,7 +121,7 @@ bool FleetService::OrderedSink::Restore(persist::Decoder& decoder) {
     decoder.Fail("sink alarm count exceeds payload size");
     return false;
   }
-  next_release_ = next_release;
+  window_.Reset(next_release);
   frames_processed_ = static_cast<std::size_t>(frames_processed);
   if (frames_processed_counter_ != nullptr)
     frames_processed_counter_->Set(frames_processed);
@@ -226,16 +232,22 @@ void FleetService::PumpLane(VehicleLane* lane) {
   // them. Only one pump per lane is ever scheduled (pump_scheduled), so the
   // monitor is touched by one thread at a time and sees frames in exactly
   // the admitted FIFO order - the per-vehicle half of the determinism story.
+  // The batch's completions go to the sink in one deposit, so the sink lock
+  // is taken once per pump task.
   TaggedFrame tagged;
+  std::vector<OrderedSink::Entry> completed;
   for (std::size_t n = 0; n < config_.pump_batch && lane->queue.TryPop(&tagged); ++n) {
-    std::vector<core::Alarm> alarms = lane->monitor.OnFrame(tagged.frame);
-    std::vector<history::HistoryRecord> records;
+    OrderedSink::Entry entry;
+    entry.alarms = lane->monitor.OnFrame(tagged.frame);
     if (history_enabled_)
-      records = BuildHistoryRecords(lane, alarms, tagged.global_seq);
+      entry.records = BuildHistoryRecords(lane, entry.alarms, tagged.global_seq);
+    entry.completion = {tagged.global_seq, tagged.vehicle_seq,
+                        lane->vehicle_id, entry.alarms.size(),
+                        tagged.admit_us};
     lane->last_global_seq = tagged.global_seq;
-    sink_.Complete(tagged.global_seq, tagged.vehicle_seq, lane->vehicle_id,
-                   tagged.admit_us, std::move(alarms), std::move(records));
+    completed.push_back(std::move(entry));
   }
+  sink_.Deposit(&completed);
 
   // Reschedule-or-park must see the producer's push: both sides order their
   // queue access before taking pump_mu, so either the producer observes
@@ -329,8 +341,7 @@ void FleetService::Drain() {
       if (history_enabled_)
         records =
             BuildHistoryRecords(lane.get(), alarms, lane->last_global_seq);
-      sink_.AppendUnsequenced(lane->vehicle_id, std::move(alarms),
-                              std::move(records));
+      sink_.AppendUnsequenced(std::move(alarms), std::move(records));
     }
     drained_ = true;
   }

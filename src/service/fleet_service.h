@@ -30,7 +30,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
@@ -43,6 +42,7 @@
 #include "persist/snapshot.h"
 #include "runtime/bounded_queue.h"
 #include "runtime/runtime_config.h"
+#include "runtime/sequence_window.h"
 #include "runtime/thread_pool.h"
 #include "telemetry/stream.h"
 #include "util/status.h"
@@ -161,8 +161,11 @@ struct Admission {
 };
 
 /// Observer of alarms as the ordered sink releases them (live consumers).
-/// Invoked in the deterministic total order, possibly from worker threads
-/// (never concurrently with itself).
+/// Invoked in the deterministic total order on the releasing thread - a
+/// pool worker, or the draining thread for end-of-stream flushes - outside
+/// the sink lock, and never concurrently with itself or with the other
+/// release callbacks. A slow callback delays only the release: pumps keep
+/// depositing completions behind it.
 using AlarmCallback = std::function<void(const core::Alarm&)>;
 
 /// Observer of per-frame completions in global-sequence order; same
@@ -172,8 +175,8 @@ using CompletionCallback = std::function<void(const FrameCompletion&)>;
 
 /// Observer of history records as the ordered sink releases them: one
 /// record per scored sample, in the deterministic total order (same
-/// threading rules as AlarmCallback - possibly from worker threads, never
-/// concurrently with itself). The intended target is
+/// threading rules as AlarmCallback - on the releasing thread, outside the
+/// sink lock, never concurrently with itself). The intended target is
 /// history::HistoryService::Append, which makes the anomaly log's order
 /// equal the sink's release order at any thread count.
 using HistoryCallback = std::function<void(const history::HistoryRecord&)>;
@@ -369,39 +372,51 @@ class FleetService {
     std::uint64_t last_global_seq = 0;
   };
 
-  /// Restores the deterministic total order: completions buffer until
-  /// their global sequence number is next, then release contiguously.
+  /// Restores the deterministic total order: completions wait in a
+  /// sequence window until their global sequence number is next, then
+  /// release contiguously. Pumps deposit a whole batch under one lock
+  /// acquisition; the depositor that finds no release in progress becomes
+  /// the releaser and runs the callbacks outside the lock, one ready prefix
+  /// at a time, until the window's front is not ready. So callbacks keep
+  /// their total order and never overlap, yet a slow callback stalls only
+  /// the release, never the pumps.
   class OrderedSink {
    public:
-    /// Records the completion of frame `global_seq` and releases every
-    /// contiguous completion from the release cursor onwards. `records`
-    /// are the frame's history records, released (history callback) in
-    /// the same deterministic order as its alarms. `admit_us` is the
-    /// frame's admission time for sampled frames (0 = unsampled), fed
-    /// into the admission-to-release latency histogram when metrics are
-    /// attached.
-    void Complete(std::uint64_t global_seq, std::uint64_t vehicle_seq,
-                  std::int32_t vehicle_id, std::uint64_t admit_us,
-                  std::vector<core::Alarm> alarms,
-                  std::vector<history::HistoryRecord> records);
+    /// One frame's completion and what it releases: its alarms and its
+    /// history records (released through the history callback in the same
+    /// deterministic order). `completion.admit_us` is the frame's admission
+    /// time for sampled frames (0 = unsampled), fed into the
+    /// admission-to-release latency histogram when metrics are attached.
+    struct Entry {
+      FrameCompletion completion;
+      std::vector<core::Alarm> alarms;
+      std::vector<history::HistoryRecord> records;
+    };
+
+    /// Deposits `*batch` (completed frames, any sequence order) under one
+    /// lock acquisition and, unless another thread is already releasing,
+    /// releases every completion contiguous with the release cursor -
+    /// including those other threads deposit meanwhile. `*batch` is
+    /// returned empty with its capacity kept (the releaser reuses it as
+    /// its release buffer).
+    void Deposit(std::vector<Entry>* batch);
 
     /// Appends alarms/history records that bypass sequencing (the
     /// end-of-stream monitor flushes, which run after the drain barrier
     /// in lane order).
-    void AppendUnsequenced(std::int32_t vehicle_id,
-                           std::vector<core::Alarm> alarms,
+    void AppendUnsequenced(std::vector<core::Alarm> alarms,
                            std::vector<history::HistoryRecord> records);
 
     /// Released alarms in total order; stable only once the service drained.
     std::vector<core::Alarm>& alarms() { return alarms_; }
 
-    /// Frames completed / alarms released so far.
+    /// Frames completed (deposited) / alarms released so far.
     std::size_t frames_processed() const;
     std::size_t alarms_emitted() const;
 
     /// Serialises the release cursor, counters and released alarms. Legal
-    /// only while quiescent (nothing pending), which the checkpoint barrier
-    /// guarantees.
+    /// only while quiescent (nothing pending, nothing being released),
+    /// which the checkpoint barrier guarantees.
     void Save(persist::Encoder& encoder) const;
 
     /// Restores state saved by Save(). Returns false on malformed input.
@@ -411,7 +426,7 @@ class FleetService {
     std::vector<core::Alarm> released() const;
 
     /// Wires the sink's mirror counters and latency histogram (all may be
-    /// null). Called once at service construction, before any Complete.
+    /// null). Called once at service construction, before any Deposit.
     /// The counters mirror frames_processed / released-alarm totals into
     /// the registry; Restore() re-Sets them to the checkpointed values.
     void AttachMetrics(obs::Counter* frames_processed,
@@ -423,13 +438,17 @@ class FleetService {
     HistoryCallback history_callback;        ///< Optional observer.
 
    private:
+    /// Runs the callbacks and the latency probe of released entries, in
+    /// order. Called without mu_, by the one releaser.
+    void RunCallbacks(const std::vector<Entry>& released);
+
     mutable std::mutex mu_;
-    std::uint64_t next_release_ = 0;  ///< First not-yet-released sequence.
-    /// Out-of-order completions waiting for their turn, keyed by sequence.
-    std::map<std::uint64_t, FrameCompletion> pending_;
-    std::map<std::uint64_t, std::vector<core::Alarm>> pending_alarms_;
-    std::map<std::uint64_t, std::vector<history::HistoryRecord>>
-        pending_records_;
+    /// Completions waiting for release; its front is the release cursor
+    /// (the first not-yet-released sequence).
+    runtime::SequenceWindow<Entry> window_;
+    /// A depositor is running callbacks outside mu_; later depositors
+    /// leave the release to it.
+    bool releasing_ = false;
     std::vector<core::Alarm> alarms_;
     std::size_t frames_processed_ = 0;
     obs::Counter* frames_processed_counter_ = nullptr;  ///< Registry mirror.
@@ -445,7 +464,8 @@ class FleetService {
   void SchedulePumpLocked(VehicleLane* lane);
 
   /// Pump body: steps up to pump_batch frames of `lane` through its
-  /// monitor, then reschedules itself if the lane is still non-empty.
+  /// monitor, deposits their completions into the sink in one batch, then
+  /// reschedules itself if the lane is still non-empty.
   void PumpLane(VehicleLane* lane);
 
   /// Builds history records for the lane's scored samples beyond its

@@ -80,28 +80,21 @@ void FleetAggregator::OnAdmitted(int shard, std::uint64_t local_seq,
 }
 
 void FleetAggregator::EnqueueLocked(std::uint64_t fleet_seq, Bundle bundle) {
-  pending_.emplace(fleet_seq, std::move(bundle));
-  ReleaseLocked();
-}
-
-void FleetAggregator::ReleaseLocked() {
-  auto it = pending_.find(next_fleet_release_);
-  while (it != pending_.end()) {
-    Bundle& bundle = it->second;
-    for (core::Alarm& alarm : bundle.alarms) {
+  pending_.Put(fleet_seq, std::move(bundle));
+  while (pending_.FrontReady()) {
+    const std::uint64_t seq = pending_.front();
+    Bundle ready = pending_.PopFront();
+    for (core::Alarm& alarm : ready.alarms) {
       if (alarm_callback_) alarm_callback_(alarm);
       alarms_.push_back(std::move(alarm));
     }
-    for (history::HistoryRecord& record : bundle.records) {
+    for (history::HistoryRecord& record : ready.records) {
       // Re-stamp with the fleet seq: the fleet history log must index by
       // the fleet-wide order, not any shard's local one.
-      record.global_seq = next_fleet_release_;
+      record.global_seq = seq;
       if (history_callback_) history_callback_(record);
     }
-    last_fleet_seq_[bundle.vehicle_id] = next_fleet_release_;
-    pending_.erase(it);
-    ++next_fleet_release_;
-    it = pending_.find(next_fleet_release_);
+    last_fleet_seq_[ready.vehicle_id] = seq;
   }
 }
 
@@ -153,7 +146,7 @@ std::vector<core::Alarm> FleetAggregator::released_alarms() const {
 
 std::uint64_t FleetAggregator::next_fleet_release() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return next_fleet_release_;
+  return pending_.front();
 }
 
 void FleetAggregator::Save(persist::Encoder& encoder) const {
@@ -165,7 +158,7 @@ void FleetAggregator::Save(persist::Encoder& encoder) const {
     NAVARCHOS_CHECK(state.current.alarms.empty());
     NAVARCHOS_CHECK(state.current.records.empty());
   }
-  encoder.PutU64(next_fleet_release_);
+  encoder.PutU64(pending_.front());
   encoder.PutU64(alarms_.size());
   for (const core::Alarm& alarm : alarms_) core::SaveAlarm(encoder, alarm);
   encoder.PutU64(last_fleet_seq_.size());
@@ -187,7 +180,7 @@ bool FleetAggregator::Restore(persist::Decoder& decoder) {
     decoder.Fail("aggregator alarm count exceeds payload size");
     return false;
   }
-  next_fleet_release_ = next_release;
+  pending_.Reset(next_release);
   alarms_.clear();
   alarms_.reserve(static_cast<std::size_t>(alarm_count));
   for (std::uint64_t i = 0; i < alarm_count; ++i) {

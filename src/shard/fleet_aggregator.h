@@ -18,9 +18,11 @@
 // bundle then waits for two facts to meet: its local->fleet mapping
 // (reported by OnAdmitted, possibly after the pump already completed the
 // frame - admission and completion race benignly) and the fleet release
-// cursor reaching its fleet seq. History records are re-stamped with the
-// fleet seq on release, so the fleet history log and its RANK / TIMELINE /
-// COMOVE answers are bit-identical to the unsharded run's.
+// cursor reaching its fleet seq, in a runtime::SequenceWindow keyed by
+// fleet seq. The callbacks it forwards run under its own lock. History
+// records are re-stamped with the fleet seq on release, so the fleet
+// history log and its RANK / TIMELINE / COMOVE answers are bit-identical
+// to the unsharded run's.
 //
 // End-of-stream monitor flushes are unsequenced (they follow the drain
 // barrier); each shard's flush leftovers stay in its current bundle until
@@ -37,6 +39,7 @@
 #include <vector>
 
 #include "persist/codec.h"
+#include "runtime/sequence_window.h"
 #include "service/fleet_service.h"
 
 /// \file
@@ -117,18 +120,16 @@ class FleetAggregator {
   void OnRecord(int shard, const history::HistoryRecord& record);
   void OnComplete(int shard, const service::FrameCompletion& completion);
 
-  /// Enqueues a sealed bundle under its fleet seq and releases the
-  /// contiguous prefix. Caller holds mu_.
+  /// Puts a sealed bundle into the window under its fleet seq and
+  /// releases every bundle contiguous with the cursor. Caller holds mu_.
   void EnqueueLocked(std::uint64_t fleet_seq, Bundle bundle);
-
-  /// Releases every bundle contiguous with the cursor. Caller holds mu_.
-  void ReleaseLocked();
 
   mutable std::mutex mu_;
   std::vector<ShardState> shards_;
-  /// Sealed bundles waiting for the fleet cursor, keyed by fleet seq.
-  std::map<std::uint64_t, Bundle> pending_;
-  std::uint64_t next_fleet_release_ = 0;
+  /// Sealed bundles waiting for the fleet cursor (the window's front, the
+  /// first fleet seq not yet released) - the same reorder window each
+  /// shard's ordered sink uses.
+  runtime::SequenceWindow<Bundle> pending_;
   /// Last released fleet seq per vehicle: the flush-record attribution.
   std::unordered_map<std::int32_t, std::uint64_t> last_fleet_seq_;
   std::vector<core::Alarm> alarms_;  ///< Released, in fleet order.

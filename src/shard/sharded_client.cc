@@ -83,16 +83,28 @@ util::Status ShardedClient::Send(const telemetry::SensorFrame& frame) {
 }
 
 util::Status ShardedClient::Flush() {
+  // Every shard's batch goes on the wire before the client waits for any
+  // ACK, so a flush costs about one round trip instead of one per shard.
+  // Each session heals on its own: a reconnect on one shard rewinds and
+  // resends only that shard's batch. Every started batch is awaited, even
+  // after an error, so none is left in flight.
+  util::Status status;
   for (auto& client : clients_) {
-    const util::Status status = client->Flush();
-    if (!status.ok()) return status;
+    const util::Status started = client->StartFlush();
+    if (status.ok()) status = started;
   }
-  return util::Status();
+  for (auto& client : clients_) {
+    const util::Status acked = client->AwaitFlush();
+    if (status.ok()) status = acked;
+  }
+  return status;
 }
 
 util::Status ShardedClient::Finish() {
+  util::Status status = Flush();
+  if (!status.ok()) return status;
   for (auto& client : clients_) {
-    const util::Status status = client->Finish();
+    status = client->Finish();
     if (!status.ok()) return status;
   }
   return util::Status();

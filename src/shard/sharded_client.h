@@ -64,7 +64,8 @@ class ShardedClient {
   /// locally (the fleet seq still advances, keeping the assignment pure).
   util::Status Send(const telemetry::SensorFrame& frame);
 
-  /// Flushes every shard session's partial batch.
+  /// Flushes every shard session's partial batch: writes every shard's
+  /// batch first, then collects each shard's ACK (healing per shard).
   util::Status Flush();
 
   /// Flushes and FINishes every shard session.

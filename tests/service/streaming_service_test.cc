@@ -1,9 +1,13 @@
 // FleetService behaviour: the streaming run of an interleaved fleet feed
 // must reproduce the batch runner's per-vehicle results exactly, the stats
 // counters must account for every frame, the ordered callbacks must observe
-// alarms and completions in the deterministic total order, and shutdown
-// (Drain) must be graceful and idempotent.
+// alarms and completions in the deterministic total order at every lane
+// shape and worker count, a stalled release callback must not stop the
+// pumps, and shutdown (Drain) must be graceful and idempotent.
+#include <chrono>
 #include <cstdint>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -123,29 +127,116 @@ TEST(StreamingServiceTest, CallbacksObserveTheDeterministicTotalOrder) {
   const auto fleet = telemetry::GenerateFleet(SmallFleetConfig());
   const auto stream = telemetry::InterleaveFleetStream(fleet);
 
-  service::FleetService svc(SmallServiceConfig(4));
-  std::vector<core::Alarm> live_alarms;
+  // Lane shapes from one-frame lanes and pumps (a deposit per frame),
+  // through the defaults, to lanes and pumps that hold thousands of frames
+  // (few, large deposits), each at one worker and at four.
+  struct LaneShape {
+    std::size_t queue_capacity;
+    std::size_t pump_batch;
+  };
+  const service::ServiceConfig defaults;
+  const LaneShape shapes[] = {
+      {1, 1}, {defaults.queue_capacity, defaults.pump_batch}, {4096, 4096}};
+  std::vector<core::Alarm> first_alarms;
+  bool have_first = false;
+  for (const int threads : {1, 4}) {
+    for (const LaneShape& shape : shapes) {
+      SCOPED_TRACE("threads " + std::to_string(threads) + ", capacity " +
+                   std::to_string(shape.queue_capacity) + ", pump_batch " +
+                   std::to_string(shape.pump_batch));
+      service::ServiceConfig config = SmallServiceConfig(threads);
+      config.queue_capacity = shape.queue_capacity;
+      config.pump_batch = shape.pump_batch;
+      service::FleetService svc(config);
+      std::vector<core::Alarm> live_alarms;
+      std::vector<std::uint64_t> completion_seqs;
+      // Callbacks run on the releasing thread, outside the sink lock, one
+      // at a time and never concurrently with each other, so plain vectors
+      // are safe here.
+      svc.set_alarm_callback([&live_alarms](const core::Alarm& alarm) {
+        live_alarms.push_back(alarm);
+      });
+      svc.set_completion_callback(
+          [&completion_seqs](const service::FrameCompletion& c) {
+            completion_seqs.push_back(c.global_seq);
+          });
+      for (const auto id : service::VehicleIdsOf(fleet)) svc.RegisterVehicle(id);
+      for (const auto& frame : stream) ASSERT_TRUE(svc.Submit(frame));
+      svc.Drain();
+
+      // Completions arrive in contiguous global-sequence order regardless
+      // of worker scheduling: exactly 0, 1, 2, ... N-1.
+      ASSERT_EQ(completion_seqs.size(), stream.size());
+      for (std::size_t i = 0; i < completion_seqs.size(); ++i)
+        ASSERT_EQ(completion_seqs[i], static_cast<std::uint64_t>(i));
+
+      // The live alarm feed is the recorded result, in the same total
+      // order, and no lane shape or worker count changes it.
+      const auto result = svc.TakeResult();
+      ExpectAlarmsIdentical(live_alarms, result.alarms);
+      if (!have_first) {
+        first_alarms = result.alarms;
+        have_first = true;
+      }
+      ExpectAlarmsIdentical(result.alarms, first_alarms);
+    }
+  }
+}
+
+TEST(StreamingServiceTest, AStalledReleaseCallbackNeverStopsThePumps) {
+  // One vehicle's only frame takes seq 0, and the completion callback for
+  // it stalls until the pumps have completed more frames than every lane
+  // can hold. Completed frames leave their lanes while they wait behind
+  // seq 0, so the pumps must keep depositing while a release callback
+  // runs, and the release window must grow past the lane capacities. With
+  // one worker nothing else could deposit, hence four.
+  const auto fleet = telemetry::GenerateFleet(SmallFleetConfig());
+  const auto interleaved = telemetry::InterleaveFleetStream(fleet);
+  const auto ids = service::VehicleIdsOf(fleet);
+  service::ServiceConfig config = SmallServiceConfig(4);
+  config.queue_capacity = 16;
+  const std::uint64_t lane_bound = ids.size() * config.queue_capacity;
+
+  const std::int32_t quiet = ids.front();
+  std::vector<telemetry::SensorFrame> stream;
+  for (const auto& frame : interleaved) {
+    if (frame.vehicle_id() == quiet) {
+      stream.push_back(frame);
+      break;
+    }
+  }
+  for (const auto& frame : interleaved)
+    if (frame.vehicle_id() != quiet) stream.push_back(frame);
+  ASSERT_GE(stream.size(), 1 + 4 * lane_bound);
+
+  service::FleetService svc(config);
+  // The registry counter, not stats(): a producer blocked on a full lane
+  // holds the ingest lock that stats() takes.
+  const obs::Counter* processed =
+      svc.metrics()->counter("service.frames_processed");
+  bool pumps_kept_going = false;
   std::vector<std::uint64_t> completion_seqs;
-  // Callbacks run under the sink lock, never concurrently with themselves,
-  // so plain vectors are safe here.
-  svc.set_alarm_callback(
-      [&live_alarms](const core::Alarm& alarm) { live_alarms.push_back(alarm); });
-  svc.set_completion_callback([&completion_seqs](const service::FrameCompletion& c) {
+  svc.set_completion_callback([&](const service::FrameCompletion& c) {
+    if (c.global_seq == 0) {
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (processed->value() <= lane_bound &&
+             std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      pumps_kept_going = processed->value() > lane_bound;
+    }
     completion_seqs.push_back(c.global_seq);
   });
-  for (const auto id : service::VehicleIdsOf(fleet)) svc.RegisterVehicle(id);
+  for (const auto id : ids) svc.RegisterVehicle(id);
   for (const auto& frame : stream) ASSERT_TRUE(svc.Submit(frame));
   svc.Drain();
 
-  // Completions arrive in contiguous global-sequence order regardless of
-  // worker scheduling: exactly 0, 1, 2, ... N-1.
+  EXPECT_TRUE(pumps_kept_going)
+      << "no more than " << lane_bound
+      << " frames completed while the release of seq 0 stalled";
   ASSERT_EQ(completion_seqs.size(), stream.size());
   for (std::size_t i = 0; i < completion_seqs.size(); ++i)
     ASSERT_EQ(completion_seqs[i], static_cast<std::uint64_t>(i));
-
-  // The live alarm feed is the recorded result, in the same total order.
-  const auto result = svc.TakeResult();
-  ExpectAlarmsIdentical(live_alarms, result.alarms);
 }
 
 TEST(StreamingServiceTest, RejectPolicyShedsInsteadOfBlocking) {

@@ -2,14 +2,17 @@
 // over loopback TCP to a ShardServer (one listener per shard) produces the
 // same fleet-wide result as the in-process ShardGroup run and the unsharded
 // service - including through a mid-stream abort + resume across every
-// shard session. Also pins the backward-compat boundary: a plain (pre-
+// shard session, and through a connection reset on one shard while every
+// shard's batch is in flight. Also pins the backward-compat boundary: a plain (pre-
 // shard-map) IngestClient against a single-shard ShardServer still works,
 // because a 1-shard WELCOME advertises no map at all.
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "net/fault_injection.h"
 #include "net/ingest_client.h"
 #include "runtime/runtime_config.h"
 #include "service/fleet_service.h"
@@ -144,6 +147,82 @@ TEST(ShardedLoopbackTest, AbortAndResumeAcrossShardsStaysExactlyOnce) {
   // Exactly-once across the crash: the merged fleet output is the
   // uninterrupted in-process run, bit for bit.
   ExpectAlarmsIdentical(reference.alarms, wire.alarms);
+}
+
+TEST(ShardedLoopbackTest, ResetOnOneShardMidBatchResendsOnlyThatShard) {
+  // ShardedClient::Flush puts every shard's batch on the wire before it
+  // waits for any ACK. A connection reset on one shard in the middle of a
+  // batch must heal that session alone - reconnect, rewind to its WELCOME
+  // cursor, resend its batch - while the other shards' batches are already
+  // in flight, and the fleet must still admit every frame exactly once.
+  const auto fleet = telemetry::GenerateFleet(SmallFleetConfig());
+  const auto stream = telemetry::InterleaveFleetStream(fleet);
+  const auto ids = service::VehicleIdsOf(fleet);
+  const auto reference = RunInProcess(stream, ids, 4, 4);
+
+  shard::ShardGroup group(GroupConfig(4, 4));
+  net::ServerConfig server_template;
+  server_template.port = 0;
+  shard::ShardServer server(&group, server_template);
+  ASSERT_TRUE(server.Start().ok());
+
+  // Client connections open in dial order: the bootstrap probe, then the
+  // sessions of shards 0, 1, 2 and 3. Shard 2's session is reset once its
+  // transport has moved 40,000 bytes, inside one of its FRAMES writes;
+  // every later connection (the heal) is clean.
+  constexpr int kResetShard = 2;
+  std::vector<net::FaultScript> scripts(2 + kResetShard);
+  scripts.back().reset_after_bytes = 40000;
+  net::FaultInjector injector(scripts);
+
+  shard::ShardedClientConfig client_config;
+  client_config.client.port = server.port(0);
+  client_config.client.session_id = "sharded-reset";
+  client_config.client.transport_factory = injector.Factory();
+  // Batches leave only through ShardedClient::Flush, every 300 frames, so
+  // each flush has all four shards' batches on the wire at once.
+  client_config.client.batch_frames = 4096;
+  shard::ShardedClient client(client_config);
+  ASSERT_TRUE(client.Connect(ids, /*resume=*/false).ok());
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    ASSERT_TRUE(client.Send(stream[i]).ok());
+    if ((i + 1) % 300 == 0) {
+      ASSERT_TRUE(client.Flush().ok());
+    }
+  }
+  ASSERT_TRUE(client.Finish().ok());
+
+  ASSERT_TRUE(server.WaitForFinishedSessions(4, /*timeout_ms=*/30000));
+  server.Stop();
+
+  // The scripted reset fired once, and only shard 2 reconnected.
+  const net::FaultManifest manifest = injector.manifest();
+  ASSERT_EQ(manifest.Total(), 1u);
+  EXPECT_EQ(manifest.events.front().kind, net::FaultKind::kReset);
+  EXPECT_EQ(manifest.events.front().connection, 1 + kResetShard);
+  EXPECT_EQ(injector.connections_opened(), 1 + 4 + 1);
+  std::uint64_t admitted = 0;
+  for (int shard = 0; shard < 4; ++shard) {
+    SCOPED_TRACE("shard " + std::to_string(shard));
+    const net::ServerStats stats = server.server(shard)->stats();
+    EXPECT_EQ(stats.resumes, shard == kResetShard ? 1u : 0u);
+    EXPECT_EQ(stats.duplicates_skipped, 0u);
+    EXPECT_EQ(stats.frames_shed, 0u);
+    admitted += stats.frames_admitted;
+  }
+  EXPECT_EQ(admitted, stream.size());
+
+  group.Drain();
+  const auto wire = group.TakeResult();
+  ExpectAlarmsIdentical(reference.alarms, wire.alarms);
+  ASSERT_EQ(reference.scored_samples.size(), wire.scored_samples.size());
+  for (std::size_t v = 0; v < reference.scored_samples.size(); ++v) {
+    ASSERT_EQ(reference.scored_samples[v].size(),
+              wire.scored_samples[v].size());
+    for (std::size_t i = 0; i < reference.scored_samples[v].size(); ++i)
+      ASSERT_EQ(reference.scored_samples[v][i].scores,
+                wire.scored_samples[v][i].scores);
+  }
 }
 
 TEST(ShardedLoopbackTest, PlainClientStillSpeaksToASingleShardServer) {
