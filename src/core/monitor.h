@@ -136,8 +136,9 @@ struct Alarm {
 /// bound an alarm count claimed by a snapshot before allocating.
 inline constexpr std::size_t kMinAlarmBytes = 4 + 8 + 8 + 4 + 8 + 8;
 
-/// Appends `alarm` to a snapshot chunk. The service's "sink" chunk and the
-/// fleet manifest's "agg" chunk both store released alarms this way.
+/// Appends `alarm` to a snapshot chunk. service::OrderedSink stores its
+/// released alarms this way, in a service's "sink" chunk and in the fleet
+/// manifest's "agg" chunk.
 void SaveAlarm(persist::Encoder& encoder, const Alarm& alarm);
 
 /// Reads one alarm written by SaveAlarm; false when the chunk runs short.

@@ -423,17 +423,16 @@ bool IngestServer::HandleMessage(Connection* conn, const WireMessage& message) {
           ++duplicates;
           continue;
         }
-        const service::Admission admission = service_->Ingest(frames.frames[i]);
+        // A frame with a fleet seq releases under it (a shed one skips
+        // it). Tail-less (legacy) peers get the identity mapping: on a
+        // single-shard fleet the local admission seq IS the fleet seq.
+        const service::Admission admission =
+            frames.fleet_seqs.empty()
+                ? service_->Ingest(frames.frames[i])
+                : service_->Ingest(frames.frames[i], frames.fleet_seqs[i]);
         session.next_expected = seq + 1;
         if (admission.accepted()) {
           ++admitted;
-          // Tail-less (legacy) peers get the identity mapping: on a
-          // single-shard fleet the local admission seq IS the fleet seq.
-          if (config_.admission_hook)
-            config_.admission_hook(admission.vehicle_id, admission.global_seq,
-                                   frames.fleet_seqs.empty()
-                                       ? admission.global_seq
-                                       : frames.fleet_seqs[i]);
         } else {
           ++shed;
           ++session.sheds;

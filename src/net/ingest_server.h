@@ -100,25 +100,13 @@ struct ServerConfig {
   history::HistoryService* history = nullptr;
   /// Sharded serving only: called from the serving thread for each vehicle
   /// a HELLO registers with a declared fleet-wide registration index (the
-  /// HELLO fleet-order tail). The shard fleet aggregator uses it to place
-  /// the vehicle in the fleet-wide flush order. When the peer sent no tail
-  /// (a pre-shard-map client) the shard-local lane index is reported
-  /// instead - the identity mapping, correct on the single-shard fleets
-  /// such peers are limited to. Null ignores registrations entirely.
+  /// HELLO fleet-order tail). A shard group uses it to place the vehicle
+  /// in the fleet-wide flush order. When the peer sent no tail (a
+  /// pre-shard-map client) the shard-local lane index is reported instead
+  /// - the identity mapping, correct on the single-shard fleets such peers
+  /// are limited to. Null ignores registrations entirely.
   std::function<void(std::int32_t vehicle_id, std::uint32_t fleet_order)>
       registration_hook;
-  /// Sharded serving only: called from the serving thread for each ADMITTED
-  /// frame, with the shard-local admission seq and the fleet-wide sequence
-  /// number from the FRAMES fleet-seq tail - or, when the peer sent no
-  /// tail (a pre-shard-map client), the local seq itself: the identity
-  /// mapping, correct on the single-shard fleets such peers are limited
-  /// to. The shard fleet aggregator uses it to merge per-shard ordered
-  /// streams back into the fleet-wide total order. Duplicates below the
-  /// resume cursor and shed frames are never reported. Null ignores
-  /// admissions entirely.
-  std::function<void(std::int32_t vehicle_id, std::uint64_t local_seq,
-                     std::uint64_t fleet_seq)>
-      admission_hook;
 };
 
 /// Counters of one server's lifetime; exact snapshots at any time.

@@ -167,8 +167,8 @@ struct FramesMessage {
   /// Optional tail (sharded sessions only): fleet-wide sequence number of
   /// each frame, parallel to `frames`. A sharded client assigns fleet
   /// sequence numbers at submission time and carries them to each shard,
-  /// so the server-side aggregator can merge the shards' ordered streams
-  /// back into the one fleet-wide total order. Empty (the default)
+  /// and each shard releases its frames under them through the group's one
+  /// ordered sink: the fleet-wide total order. Empty (the default)
   /// encodes byte-identically to the pre-shard protocol.
   std::vector<std::uint64_t> fleet_seqs;
 };

@@ -1,7 +1,7 @@
 // Reorder window over a dense sequence number: the one mechanism that turns
 // out-of-order completions back into their contiguous total order, under
-// both the streaming service's ordered sink and the sharded fleet
-// aggregator.
+// service::OrderedSink - a standalone service's, and a shard group's, which
+// every shard releases through.
 //
 // Items arrive under their sequence number in any order (Put) and leave
 // strictly in sequence order from the front (FrontReady / PopFront), so

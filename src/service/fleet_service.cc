@@ -21,164 +21,40 @@ constexpr std::uint32_t kServiceStateVersion = 2;
 
 }  // namespace
 
-// ---------------------------------------------------------------- OrderedSink
-
-void FleetService::OrderedSink::Deposit(std::vector<Entry>* batch) {
-  std::unique_lock<std::mutex> lock(mu_);
-  for (Entry& entry : *batch) {
-    const std::uint64_t seq = entry.completion.global_seq;
-    window_.Put(seq, std::move(entry));
-  }
-  frames_processed_ += batch->size();
-  if (frames_processed_counter_ != nullptr)
-    frames_processed_counter_->Set(frames_processed_);
-  batch->clear();
-  if (releasing_) return;  // the active releaser takes these too
-  releasing_ = true;
-
-  // Release every completion contiguous with the cursor. Worker scheduling
-  // decides only when a completion *arrives*, never when it is *released*:
-  // the release order is the admission order, always. The cursor, the
-  // released-alarm log and its counter advance under the lock; the
-  // callbacks run outside it, so pumps keep depositing meanwhile, and this
-  // thread loops until the front is not ready.
-  while (true) {
-    while (window_.FrontReady()) {
-      Entry entry = window_.PopFront();
-      alarms_.insert(alarms_.end(), entry.alarms.begin(), entry.alarms.end());
-      batch->push_back(std::move(entry));
-    }
-    if (batch->empty()) break;
-    if (alarms_counter_ != nullptr) alarms_counter_->Set(alarms_.size());
-    lock.unlock();
-    RunCallbacks(*batch);
-    batch->clear();
-    lock.lock();
-  }
-  releasing_ = false;
-}
-
-void FleetService::OrderedSink::RunCallbacks(
-    const std::vector<Entry>& released) {
-  for (const Entry& entry : released) {
-    if (alarm_callback)
-      for (const core::Alarm& alarm : entry.alarms) alarm_callback(alarm);
-    if (history_callback)
-      for (const history::HistoryRecord& record : entry.records)
-        history_callback(record);
-    if (completion_callback) completion_callback(entry.completion);
-    // Only sampled frames carry an admission timestamp (0 = unsampled),
-    // which keeps the clock reads off the common per-frame path.
-    if (latency_us_ != nullptr && entry.completion.admit_us != 0)
-      latency_us_->Record(obs::MonotonicMicros() - entry.completion.admit_us);
-  }
-}
-
-void FleetService::OrderedSink::AppendUnsequenced(
-    std::vector<core::Alarm> alarms,
-    std::vector<history::HistoryRecord> records) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    // Only legal after the drain barrier.
-    NAVARCHOS_CHECK(window_.empty() && !releasing_);
-    alarms_.insert(alarms_.end(), alarms.begin(), alarms.end());
-    if (alarms_counter_ != nullptr) alarms_counter_->Set(alarms_.size());
-  }
-  if (alarm_callback)
-    for (const core::Alarm& alarm : alarms) alarm_callback(alarm);
-  if (history_callback)
-    for (const history::HistoryRecord& record : records)
-      history_callback(record);
-}
-
-std::size_t FleetService::OrderedSink::frames_processed() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return frames_processed_;
-}
-
-std::size_t FleetService::OrderedSink::alarms_emitted() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return alarms_.size();
-}
-
-void FleetService::OrderedSink::Save(persist::Encoder& encoder) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  // The checkpoint barrier already passed.
-  NAVARCHOS_CHECK(window_.empty() && !releasing_);
-  encoder.PutU64(window_.front());
-  encoder.PutU64(frames_processed_);
-  encoder.PutU64(alarms_.size());
-  for (const core::Alarm& alarm : alarms_) core::SaveAlarm(encoder, alarm);
-}
-
-bool FleetService::OrderedSink::Restore(persist::Decoder& decoder) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const std::uint64_t next_release = decoder.GetU64();
-  const std::uint64_t frames_processed = decoder.GetU64();
-  const std::uint64_t alarm_count = decoder.GetU64();
-  if (!decoder.ok()) return false;
-  if (alarm_count > decoder.remaining() / core::kMinAlarmBytes) {
-    decoder.Fail("sink alarm count exceeds payload size");
-    return false;
-  }
-  window_.Reset(next_release);
-  frames_processed_ = static_cast<std::size_t>(frames_processed);
-  if (frames_processed_counter_ != nullptr)
-    frames_processed_counter_->Set(frames_processed);
-  if (alarms_counter_ != nullptr) alarms_counter_->Set(alarm_count);
-  alarms_.clear();
-  alarms_.reserve(static_cast<std::size_t>(alarm_count));
-  for (std::uint64_t i = 0; i < alarm_count; ++i) {
-    core::Alarm alarm;
-    if (!core::RestoreAlarm(decoder, &alarm)) return false;
-    alarms_.push_back(std::move(alarm));
-  }
-  return decoder.ok();
-}
-
-std::vector<core::Alarm> FleetService::OrderedSink::released() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return alarms_;
-}
-
-void FleetService::OrderedSink::AttachMetrics(
-    obs::Counter* frames_processed, obs::Counter* alarms_emitted,
-    obs::Histogram* admission_to_release_us) {
-  std::lock_guard<std::mutex> lock(mu_);
-  frames_processed_counter_ = frames_processed;
-  alarms_counter_ = alarms_emitted;
-  latency_us_ = admission_to_release_us;
-}
-
 // --------------------------------------------------------------- FleetService
 
 FleetService::FleetService(const ServiceConfig& config)
+    : FleetService(config, nullptr, nullptr) {}
+
+FleetService::FleetService(const ServiceConfig& config,
+                           runtime::ThreadPool* pool, OrderedSink* sink)
     : config_(config),
-      owned_pool_(config.shared_pool == nullptr
-                      ? std::make_unique<runtime::ThreadPool>(
-                            config.runtime.ResolveThreads())
-                      : nullptr),
-      pool_(config.shared_pool != nullptr ? config.shared_pool
-                                          : owned_pool_.get()) {
+      owned_sink_(sink == nullptr ? std::make_unique<OrderedSink>() : nullptr),
+      sink_(sink != nullptr ? sink : owned_sink_.get()),
+      owned_pool_(pool == nullptr ? std::make_unique<runtime::ThreadPool>(
+                                        config.runtime.ResolveThreads())
+                                  : nullptr),
+      pool_(pool != nullptr ? pool : owned_pool_.get()) {
   NAVARCHOS_CHECK(config_.queue_capacity >= 1);
   NAVARCHOS_CHECK(config_.pump_batch >= 1);
   // Wire the registry before anything can count: ingest counters, the
-  // sink's mirrors and latency histogram, the shared ensemble metrics and
-  // - for an owned pool - the pool's task metrics. A borrowed pool is
-  // attached by its owner (shard::ShardGroup), not by every sharing
-  // service.
+  // shared ensemble metrics and - for an owned sink and pool - their
+  // metrics. A borrowed sink or pool is attached by its owner
+  // (shard::ShardGroup), not by every sharing service.
   frames_submitted_ = metrics_.counter("service.frames_submitted");
   frames_accepted_ = metrics_.counter("service.frames_accepted");
   frames_rejected_ = metrics_.counter("service.frames_rejected");
+  frames_processed_ = metrics_.counter("service.frames_processed");
   retrains_started_ = metrics_.counter("ensemble.retrains_started");
   retrains_completed_ = metrics_.counter("ensemble.retrains_completed");
   retrains_failed_ = metrics_.counter("ensemble.retrains_failed");
   suppressed_alarms_ =
       metrics_.counter("ensemble.consensus_suppressed_alarms");
   retrain_us_ = metrics_.histogram("ensemble.retrain_us");
-  sink_.AttachMetrics(metrics_.counter("service.frames_processed"),
-                      metrics_.counter("service.alarms_emitted"),
-                      metrics_.histogram("service.admission_to_release_us"));
+  if (owned_sink_ != nullptr)
+    owned_sink_->AttachMetrics(
+        metrics_.counter("service.alarms_emitted"),
+        metrics_.histogram("service.admission_to_release_us"));
   if (owned_pool_ != nullptr) owned_pool_->AttachMetrics(&metrics_);
 }
 
@@ -234,20 +110,22 @@ void FleetService::PumpLane(VehicleLane* lane) {
   // the admitted FIFO order - the per-vehicle half of the determinism story.
   // The batch's completions go to the sink in one deposit, so the sink lock
   // is taken once per pump task.
+  const bool history = static_cast<bool>(sink_->history_callback);
   TaggedFrame tagged;
   std::vector<OrderedSink::Entry> completed;
   for (std::size_t n = 0; n < config_.pump_batch && lane->queue.TryPop(&tagged); ++n) {
     OrderedSink::Entry entry;
     entry.alarms = lane->monitor.OnFrame(tagged.frame);
-    if (history_enabled_)
-      entry.records = BuildHistoryRecords(lane, entry.alarms, tagged.global_seq);
-    entry.completion = {tagged.global_seq, tagged.vehicle_seq,
+    if (history)
+      entry.records = BuildHistoryRecords(lane, entry.alarms, tagged.release_seq);
+    entry.completion = {tagged.release_seq, tagged.vehicle_seq,
                         lane->vehicle_id, entry.alarms.size(),
                         tagged.admit_us};
-    lane->last_global_seq = tagged.global_seq;
+    lane->last_global_seq = tagged.release_seq;
     completed.push_back(std::move(entry));
   }
-  sink_.Deposit(&completed);
+  frames_processed_->Add(completed.size());
+  sink_->Deposit(&completed);
 
   // Reschedule-or-park must see the producer's push: both sides order their
   // queue access before taking pump_mu, so either the producer observes
@@ -265,6 +143,20 @@ bool FleetService::Submit(const telemetry::SensorFrame& frame) {
 }
 
 Admission FleetService::Ingest(const telemetry::SensorFrame& frame) {
+  return Admit(frame, std::nullopt);
+}
+
+Admission FleetService::Ingest(const telemetry::SensorFrame& frame,
+                               std::uint64_t fleet_seq) {
+  const Admission admission = Admit(frame, fleet_seq);
+  // Outside ingest_mu_: the skip may make this thread the releaser, which
+  // runs the release callbacks.
+  if (!admission.accepted()) sink_->Skip(fleet_seq);
+  return admission;
+}
+
+Admission FleetService::Admit(const telemetry::SensorFrame& frame,
+                              std::optional<std::uint64_t> fleet_seq) {
   std::lock_guard<std::mutex> lock(ingest_mu_);
   ingest_started_ = true;
   frames_submitted_->IncrementSingleWriter();
@@ -280,22 +172,22 @@ Admission FleetService::Ingest(const telemetry::SensorFrame& frame) {
   admission.vehicle_seq = lane->next_vehicle_seq;
 
   TaggedFrame tagged;
-  tagged.global_seq = next_global_seq_;
+  tagged.release_seq = fleet_seq.value_or(next_global_seq_);
   tagged.vehicle_seq = lane->next_vehicle_seq;
-  // Observability sampling: one frame in kLatencySamplePeriod (by global
+  // Observability sampling: one frame in kLatencySamplePeriod (by release
   // sequence, so the sampled set is identical across runs) carries an
   // admission timestamp and probes the lane depth. Unsampled frames keep
   // admit_us = 0 and skip the probes entirely, which keeps the clock
   // read and the queue-mutex depth probe off the common per-frame path.
-  const bool sampled = next_global_seq_ % kLatencySamplePeriod == 0;
+  const bool sampled = tagged.release_seq % kLatencySamplePeriod == 0;
   if (sampled) tagged.admit_us = obs::MonotonicMicros();
   tagged.frame = frame;
   const bool admitted = config_.backpressure == BackpressurePolicy::kBlock
                             ? lane->queue.Push(std::move(tagged))
                             : lane->queue.TryPush(std::move(tagged));
   if (!admitted) {
-    // Shed (kReject on a full lane). The sequence numbers were not
-    // consumed, so the ordered sink's contiguous release is unaffected.
+    // Shed (kReject on a full lane). The global sequence numbers were not
+    // consumed, so a standalone sink's contiguous release is unaffected.
     frames_rejected_->IncrementSingleWriter();
     admission.code = AdmissionCode::kShedQueueFull;
     return admission;
@@ -313,15 +205,20 @@ Admission FleetService::Ingest(const telemetry::SensorFrame& frame) {
   return admission;
 }
 
+void FleetService::Close() {
+  std::lock_guard<std::mutex> lock(ingest_mu_);
+  draining_ = true;
+  // Closing refuses nothing already admitted: pumps keep TryPop-draining
+  // the buffered frames; only new pushes fail.
+  for (auto& lane : lanes_) lane->queue.Close();
+}
+
 void FleetService::Drain() {
   {
     std::lock_guard<std::mutex> lock(ingest_mu_);
     if (drained_) return;
-    draining_ = true;
-    // Closing refuses nothing already admitted: pumps keep TryPop-draining
-    // the buffered frames; only new pushes fail.
-    for (auto& lane : lanes_) lane->queue.Close();
   }
+  Close();
 
   // Barrier: a non-empty lane always has a pump queued or running (Submit
   // schedules one on every admission; a pump re-posts itself while its lane
@@ -329,22 +226,29 @@ void FleetService::Drain() {
   // processed and completed into the sink.
   pool_->WaitIdle();
 
-  {
-    std::lock_guard<std::mutex> lock(ingest_mu_);
-    // End-of-stream flush of each monitor's reorder buffer, in lane order -
-    // deterministic because the drain barrier already passed. Flush records
-    // are attributed to the lane's last pumped frame (its global seq never
-    // decreases within a vehicle, so the log stays delta-encodable).
-    for (auto& lane : lanes_) {
-      std::vector<core::Alarm> alarms = lane->monitor.Flush();
-      std::vector<history::HistoryRecord> records;
-      if (history_enabled_)
-        records =
-            BuildHistoryRecords(lane.get(), alarms, lane->last_global_seq);
-      sink_.AppendUnsequenced(std::move(alarms), std::move(records));
-    }
-    drained_ = true;
-  }
+  std::lock_guard<std::mutex> lock(ingest_mu_);
+  for (auto& lane : lanes_) FlushLaneLocked(lane.get());
+  drained_ = true;
+}
+
+void FleetService::FlushLane(int lane) {
+  std::lock_guard<std::mutex> lock(ingest_mu_);
+  NAVARCHOS_CHECK(draining_);
+  FlushLaneLocked(lanes_.at(static_cast<std::size_t>(lane)).get());
+}
+
+void FleetService::FlushLaneLocked(VehicleLane* lane) {
+  // End-of-stream flush of the monitor's reorder buffer - deterministic
+  // because the drain barrier already passed. Flush records are attributed
+  // to the lane's last pumped frame (its seq never decreases within a
+  // vehicle, so the log stays delta-encodable).
+  if (lane->flushed) return;
+  lane->flushed = true;
+  std::vector<core::Alarm> alarms = lane->monitor.Flush();
+  std::vector<history::HistoryRecord> records;
+  if (sink_->history_callback)
+    records = BuildHistoryRecords(lane, alarms, lane->last_global_seq);
+  sink_->AppendUnsequenced(std::move(alarms), std::move(records));
 }
 
 core::FleetRunResult FleetService::TakeResult() {
@@ -357,7 +261,8 @@ core::FleetRunResult FleetService::TakeResult() {
   result.persistence_window = pw;
   result.persistence_min = pm;
   result.threshold_kind = config_.monitor.threshold.kind;
-  result.alarms = std::move(sink_.alarms());
+  // A shard's alarms belong to its group's sink; the group takes them.
+  if (owned_sink_ != nullptr) result.alarms = std::move(owned_sink_->alarms());
   result.scored_samples.reserve(lanes_.size());
   result.calibrations.reserve(lanes_.size());
   result.quality.reserve(lanes_.size());
@@ -372,6 +277,18 @@ core::FleetRunResult FleetService::TakeResult() {
   return result;
 }
 
+ensemble::EnsembleStats FleetService::EnsembleTotalsLocked() const {
+  ensemble::EnsembleStats total;
+  for (const auto& lane : lanes_) {
+    const ensemble::EnsembleStats stats = lane->monitor.ensemble_stats();
+    total.retrains_started += stats.retrains_started;
+    total.retrains_completed += stats.retrains_completed;
+    total.retrains_failed += stats.retrains_failed;
+    total.consensus_suppressed_alarms += stats.consensus_suppressed_alarms;
+  }
+  return total;
+}
+
 ServiceStats FleetService::stats() const {
   ServiceStats stats;
   {
@@ -382,19 +299,15 @@ ServiceStats FleetService::stats() const {
         static_cast<std::size_t>(frames_accepted_->value());
     stats.frames_rejected =
         static_cast<std::size_t>(frames_rejected_->value());
-    // The per-lane ensemble counters are relaxed atomics, so reading them
-    // while pumps run is safe; the totals are exact after Drain().
-    for (const auto& lane : lanes_) {
-      const ensemble::EnsembleStats ensemble = lane->monitor.ensemble_stats();
-      stats.retrains_started += ensemble.retrains_started;
-      stats.retrains_completed += ensemble.retrains_completed;
-      stats.retrains_failed += ensemble.retrains_failed;
-      stats.consensus_suppressed_alarms +=
-          ensemble.consensus_suppressed_alarms;
-    }
+    const ensemble::EnsembleStats ensemble = EnsembleTotalsLocked();
+    stats.retrains_started = ensemble.retrains_started;
+    stats.retrains_completed = ensemble.retrains_completed;
+    stats.retrains_failed = ensemble.retrains_failed;
+    stats.consensus_suppressed_alarms = ensemble.consensus_suppressed_alarms;
   }
-  stats.frames_processed = sink_.frames_processed();
-  stats.alarms_emitted = sink_.alarms_emitted();
+  stats.frames_processed =
+      static_cast<std::size_t>(frames_processed_->value());
+  stats.alarms_emitted = sink_->alarms_emitted();
   return stats;
 }
 
@@ -404,18 +317,11 @@ obs::StatsSnapshot FleetService::SnapshotStats() {
   // with each lane through checkpoints); mirror them into the registry's
   // derived counters right before snapshotting so the snapshot is
   // self-contained. Set, not Add: the lane atomics stay authoritative.
-  std::uint64_t started = 0, completed = 0, failed = 0, suppressed = 0;
-  for (const auto& lane : lanes_) {
-    const ensemble::EnsembleStats ensemble = lane->monitor.ensemble_stats();
-    started += ensemble.retrains_started;
-    completed += ensemble.retrains_completed;
-    failed += ensemble.retrains_failed;
-    suppressed += ensemble.consensus_suppressed_alarms;
-  }
-  retrains_started_->Set(started);
-  retrains_completed_->Set(completed);
-  retrains_failed_->Set(failed);
-  suppressed_alarms_->Set(suppressed);
+  const ensemble::EnsembleStats ensemble = EnsembleTotalsLocked();
+  retrains_started_->Set(ensemble.retrains_started);
+  retrains_completed_->Set(ensemble.retrains_completed);
+  retrains_failed_->Set(ensemble.retrains_failed);
+  suppressed_alarms_->Set(ensemble.consensus_suppressed_alarms);
   return metrics_.Snapshot();
 }
 
@@ -425,22 +331,21 @@ void FleetService::set_alarm_callback(AlarmCallback callback) {
   // numbers from its previous life, so the guard is on local ingest, not on
   // next_global_seq_.
   NAVARCHOS_CHECK(!ingest_started_);
-  sink_.alarm_callback = std::move(callback);
+  sink_->alarm_callback = std::move(callback);
 }
 
 void FleetService::set_completion_callback(CompletionCallback callback) {
   std::lock_guard<std::mutex> lock(ingest_mu_);
   NAVARCHOS_CHECK(!ingest_started_);
-  sink_.completion_callback = std::move(callback);
+  sink_->completion_callback = std::move(callback);
 }
 
 void FleetService::set_history_callback(HistoryCallback callback) {
   std::lock_guard<std::mutex> lock(ingest_mu_);
   NAVARCHOS_CHECK(!ingest_started_);
-  // Pumps read the flag without ingest_mu_, but every pump task is posted
-  // under it, so the pool's task handoff publishes the write.
-  history_enabled_ = static_cast<bool>(callback);
-  sink_.history_callback = std::move(callback);
+  // Pumps read the callback without ingest_mu_, but every pump task is
+  // posted under it, so the pool's task handoff publishes the write.
+  sink_->history_callback = std::move(callback);
 }
 
 void FleetService::set_checkpoint_barrier(
@@ -452,7 +357,7 @@ void FleetService::set_checkpoint_barrier(
 
 std::vector<history::HistoryRecord> FleetService::BuildHistoryRecords(
     VehicleLane* lane, const std::vector<core::Alarm>& alarms,
-    std::uint64_t global_seq) {
+    std::uint64_t seq) {
   std::vector<history::HistoryRecord> records;
   const std::vector<core::ScoredSample>& samples =
       lane->monitor.scored_samples();
@@ -462,7 +367,7 @@ std::vector<history::HistoryRecord> FleetService::BuildHistoryRecords(
     const core::ScoredSample& sample = samples[i];
     history::HistoryRecord record;
     record.vehicle_id = lane->vehicle_id;
-    record.global_seq = global_seq;
+    record.global_seq = seq;
     record.timestamp = sample.timestamp;
     record.votes = sample.votes;
     record.ensemble_live = sample.ensemble_live < 0
@@ -554,9 +459,19 @@ void FleetService::SaveLocked(persist::Snapshot* snapshot) const {
   service_encoder.PutU64(lanes_.size());
   snapshot->Add("service", std::move(service_encoder));
 
-  // "sink" chunk: release cursor and the released alarms in total order.
+  // "sink" chunk: release cursor, frames released and the released alarms
+  // in total order. A shard's frames release through its group's sink,
+  // which the fleet manifest saves; the shard saves a sink that released
+  // its own frames and no alarm, so its file still restores into a
+  // standalone service.
   persist::Encoder sink_encoder;
-  sink_.Save(sink_encoder);
+  if (owned_sink_ != nullptr) {
+    owned_sink_->Save(sink_encoder);
+  } else {
+    sink_encoder.PutU64(next_global_seq_);
+    sink_encoder.PutU64(frames_processed_->value());
+    sink_encoder.PutU64(0);  // released alarms
+  }
   snapshot->Add("sink", std::move(sink_encoder));
 
   // One "lane.<i>" chunk per registered vehicle, in registration order, so a
@@ -656,21 +571,27 @@ util::Status FleetService::RestoreFrom(const persist::Snapshot& snapshot) {
     return util::Status::Error("restore: snapshot has no \"sink\" chunk");
   persist::Decoder sink_decoder(sink_chunk->payload.data(),
                                 sink_chunk->payload.size());
-  if (!sink_.Restore(sink_decoder)) return sink_decoder.ToStatus("sink chunk");
+  // A shard reads its chunk only for its frame count: its group restores
+  // the shared sink from the fleet manifest.
+  OrderedSink shard_sink;
+  OrderedSink* sink = owned_sink_ != nullptr ? owned_sink_.get() : &shard_sink;
+  if (!sink->Restore(sink_decoder)) return sink_decoder.ToStatus("sink chunk");
   status = sink_decoder.ToStatus("sink chunk");
   if (!status.ok()) return status;
 
   // Quiescence invariants of a checkpoint: everything admitted was released.
-  if (sink_.frames_processed() != frames_accepted)
+  const std::uint64_t frames_processed = sink->frames_released();
+  if (frames_processed != frames_accepted)
     return util::Status::Error(
         "restore: snapshot inconsistent (processed " +
-        std::to_string(sink_.frames_processed()) + " frames, accepted " +
+        std::to_string(frames_processed) + " frames, accepted " +
         std::to_string(frames_accepted) + ")");
 
   next_global_seq_ = next_global_seq;
   frames_submitted_->Set(frames_submitted);
   frames_accepted_->Set(frames_accepted);
   frames_rejected_->Set(frames_rejected);
+  frames_processed_->Set(frames_processed);
   return util::Status();
 }
 
@@ -682,7 +603,7 @@ util::Status FleetService::RestoreFromFile(const std::string& path) {
 }
 
 std::vector<core::Alarm> FleetService::released_alarms() const {
-  return sink_.released();
+  return sink_->released();
 }
 
 // ------------------------------------------------------------------- helpers

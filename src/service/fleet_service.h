@@ -32,6 +32,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -42,8 +43,8 @@
 #include "persist/snapshot.h"
 #include "runtime/bounded_queue.h"
 #include "runtime/runtime_config.h"
-#include "runtime/sequence_window.h"
 #include "runtime/thread_pool.h"
+#include "service/ordered_sink.h"
 #include "telemetry/stream.h"
 #include "util/status.h"
 
@@ -86,13 +87,6 @@ struct ServiceConfig {
   /// Frames a pump task processes before rescheduling itself, so one
   /// flooded vehicle cannot monopolise a worker while others wait.
   std::size_t pump_batch = 64;
-  /// Borrowed worker pool. When non-null the service posts its pump tasks
-  /// here instead of owning a pool, so N sharded services can share one
-  /// pool (src/shard). The pool must outlive the service, and WaitIdle on
-  /// it quiesces every sharing service at once - a coarser but still
-  /// correct drain/checkpoint barrier. Null (the default) keeps the
-  /// one-pool-per-service behaviour, sized by `runtime`.
-  runtime::ThreadPool* shared_pool = nullptr;
   /// Contributing score channels recorded per history entry (worst first)
   /// when a history callback is installed; see set_history_callback.
   std::size_t history_top_k = 4;
@@ -110,7 +104,9 @@ struct ServiceStats {
   std::size_t frames_accepted = 0;   ///< Admitted to an ingest queue.
   std::size_t frames_rejected = 0;   ///< Shed by the kReject policy.
   std::size_t frames_processed = 0;  ///< Stepped through a monitor.
-  std::size_t alarms_emitted = 0;    ///< Released by the ordered sink.
+  /// Released by the ordered sink the service releases through (on a
+  /// shard of a group, the group's sink: a fleet-wide count).
+  std::size_t alarms_emitted = 0;
   /// Ensemble member fits posted (or run inline), fleet-wide. All four
   /// ensemble counters stay zero while the ensemble is disabled.
   std::uint64_t retrains_started = 0;
@@ -118,17 +114,6 @@ struct ServiceStats {
   std::uint64_t retrains_failed = 0;     ///< Fits that failed; member kept.
   /// Alarm candidates vetoed by the M-of-K consensus vote.
   std::uint64_t consensus_suppressed_alarms = 0;
-};
-
-/// One frame's completion notice, delivered in global-sequence order.
-struct FrameCompletion {
-  std::uint64_t global_seq = 0;   ///< Ingest sequence number of the frame.
-  std::uint64_t vehicle_seq = 0;  ///< Per-vehicle sequence number.
-  std::int32_t vehicle_id = 0;    ///< Vehicle the frame belonged to.
-  std::size_t alarms = 0;         ///< Alarms this frame raised.
-  /// Admission time (obs::MonotonicMicros) when the frame was sampled for
-  /// the latency histogram, 0 otherwise. Observe-only.
-  std::uint64_t admit_us = 0;
 };
 
 /// Outcome class of one frame's admission decision.
@@ -160,27 +145,6 @@ struct Admission {
   bool accepted() const { return code == AdmissionCode::kAccepted; }
 };
 
-/// Observer of alarms as the ordered sink releases them (live consumers).
-/// Invoked in the deterministic total order on the releasing thread - a
-/// pool worker, or the draining thread for end-of-stream flushes - outside
-/// the sink lock, and never concurrently with itself or with the other
-/// release callbacks. A slow callback delays only the release: pumps keep
-/// depositing completions behind it.
-using AlarmCallback = std::function<void(const core::Alarm&)>;
-
-/// Observer of per-frame completions in global-sequence order; same
-/// threading rules as AlarmCallback. Used by the throughput bench to
-/// measure per-frame latency.
-using CompletionCallback = std::function<void(const FrameCompletion&)>;
-
-/// Observer of history records as the ordered sink releases them: one
-/// record per scored sample, in the deterministic total order (same
-/// threading rules as AlarmCallback - on the releasing thread, outside the
-/// sink lock, never concurrently with itself). The intended target is
-/// history::HistoryService::Append, which makes the anomaly log's order
-/// equal the sink's release order at any thread count.
-using HistoryCallback = std::function<void(const history::HistoryRecord&)>;
-
 /// The streaming fleet service. Typical lifecycle:
 ///
 /// \code
@@ -198,8 +162,20 @@ using HistoryCallback = std::function<void(const history::HistoryRecord&)>;
 /// Drain() must be called by an ingest thread, never from a callback.
 class FleetService {
  public:
-  /// Builds the service and starts its worker pool.
+  /// Builds a standalone service: it starts its own worker pool (sized by
+  /// `config.runtime`) and releases through its own ordered sink, keyed by
+  /// its global ingest seq.
   explicit FleetService(const ServiceConfig& config);
+
+  /// Builds one shard of a group (src/shard): pump tasks run on the
+  /// borrowed `pool` and completions release through the borrowed `sink`,
+  /// keyed by the fleet seqs passed to Ingest, so N shards share one pool
+  /// and one total order. Both must outlive the service, and their owner
+  /// attaches their metrics; `config.runtime` is unused. WaitIdle on the
+  /// pool quiesces every shard at once - the group's drain and checkpoint
+  /// barrier.
+  FleetService(const ServiceConfig& config, runtime::ThreadPool* pool,
+               OrderedSink* sink);
 
   /// Drains (if Drain was not called) and stops the workers.
   ~FleetService();
@@ -237,12 +213,30 @@ class FleetService {
   /// sequence number instead of collapsing the outcome to a bool.
   Admission Ingest(const telemetry::SensorFrame& frame);
 
-  /// Graceful shutdown: refuses further submissions, waits until every
-  /// admitted frame has been processed and its alarms released, then
-  /// flushes each monitor's reorder buffer (in lane order) through the
-  /// sink. Idempotent. After Drain the service is quiescent: stats() are
-  /// final and TakeResult() may be called.
+  /// Ingest under a caller-assigned release sequence number: the fleet seq
+  /// a shard's group (or a sharded wire client) gave the frame. An
+  /// admitted frame releases under `fleet_seq`; a shed one fills it with
+  /// OrderedSink::Skip, so the release never waits for it. Each fleet seq
+  /// is ingested once.
+  Admission Ingest(const telemetry::SensorFrame& frame, std::uint64_t fleet_seq);
+
+  /// Graceful shutdown: Close(), wait until every admitted frame has been
+  /// processed and its alarms released, then flush each lane not yet
+  /// flushed (FlushLane), in lane order. Idempotent. After Drain the
+  /// service is quiescent: stats() are final and TakeResult() may be
+  /// called.
   void Drain();
+
+  /// First step of Drain: refuses further submissions and closes every
+  /// lane (pumps still finish what the lanes hold). Idempotent.
+  void Close();
+
+  /// Flushes lane `lane`'s monitor reorder buffer through the sink, with
+  /// its history records attributed to the lane's last released seq; a
+  /// lane is flushed once. Legal after Close() once the pool is idle. A
+  /// group drains its shards this way, flushing every lane in fleet
+  /// registration order before it calls each shard's Drain().
+  void FlushLane(int lane);
 
   /// Moves the accumulated run result out of the service: alarms in the
   /// deterministic total order, plus per-vehicle scored samples,
@@ -330,19 +324,22 @@ class FleetService {
   /// Reads `path` and delegates to RestoreFrom.
   util::Status RestoreFromFile(const std::string& path);
 
-  /// Copy of the alarms released by the ordered sink so far (total order).
-  /// Stable only while quiescent (after Drain, after a restore, or inside
-  /// no ingest); used to re-emit alarm logs after a restore.
+  /// Copy of the alarms released by the ordered sink so far (total order;
+  /// on a shard, the group's). Stable only while quiescent (after Drain,
+  /// after a restore, or inside no ingest); used to re-emit alarm logs
+  /// after a restore.
   std::vector<core::Alarm> released_alarms() const;
 
  private:
   /// A frame admitted to a lane, tagged with its sequence numbers.
   struct TaggedFrame {
-    std::uint64_t global_seq = 0;
+    /// The seq the frame releases under: its global ingest seq, or the
+    /// fleet seq given to Ingest.
+    std::uint64_t release_seq = 0;
     std::uint64_t vehicle_seq = 0;
     /// Admission time (obs::MonotonicMicros), consumed by the sink's
     /// admission-to-release latency histogram. Stamped only for sampled
-    /// frames (global_seq % kLatencySamplePeriod == 0); 0 = unsampled.
+    /// frames (release_seq % kLatencySamplePeriod == 0); 0 = unsampled.
     /// Observe-only.
     std::uint64_t admit_us = 0;
     telemetry::SensorFrame frame;
@@ -366,94 +363,12 @@ class FleetService {
     obs::Gauge* depth_peak = nullptr;
     /// Scored samples already turned into history records (pump-owned).
     std::size_t history_cursor = 0;
-    /// Global seq of the lane's last pumped frame: the seq end-of-stream
-    /// flush records are attributed to. Persisted in checkpoints so a
-    /// restored run attributes its flush records identically.
+    /// Release seq of the lane's last pumped frame (on a shard, a fleet
+    /// seq): the seq end-of-stream flush records are attributed to.
+    /// Persisted in checkpoints so a restored run attributes its flush
+    /// records identically.
     std::uint64_t last_global_seq = 0;
-  };
-
-  /// Restores the deterministic total order: completions wait in a
-  /// sequence window until their global sequence number is next, then
-  /// release contiguously. Pumps deposit a whole batch under one lock
-  /// acquisition; the depositor that finds no release in progress becomes
-  /// the releaser and runs the callbacks outside the lock, one ready prefix
-  /// at a time, until the window's front is not ready. So callbacks keep
-  /// their total order and never overlap, yet a slow callback stalls only
-  /// the release, never the pumps.
-  class OrderedSink {
-   public:
-    /// One frame's completion and what it releases: its alarms and its
-    /// history records (released through the history callback in the same
-    /// deterministic order). `completion.admit_us` is the frame's admission
-    /// time for sampled frames (0 = unsampled), fed into the
-    /// admission-to-release latency histogram when metrics are attached.
-    struct Entry {
-      FrameCompletion completion;
-      std::vector<core::Alarm> alarms;
-      std::vector<history::HistoryRecord> records;
-    };
-
-    /// Deposits `*batch` (completed frames, any sequence order) under one
-    /// lock acquisition and, unless another thread is already releasing,
-    /// releases every completion contiguous with the release cursor -
-    /// including those other threads deposit meanwhile. `*batch` is
-    /// returned empty with its capacity kept (the releaser reuses it as
-    /// its release buffer).
-    void Deposit(std::vector<Entry>* batch);
-
-    /// Appends alarms/history records that bypass sequencing (the
-    /// end-of-stream monitor flushes, which run after the drain barrier
-    /// in lane order).
-    void AppendUnsequenced(std::vector<core::Alarm> alarms,
-                           std::vector<history::HistoryRecord> records);
-
-    /// Released alarms in total order; stable only once the service drained.
-    std::vector<core::Alarm>& alarms() { return alarms_; }
-
-    /// Frames completed (deposited) / alarms released so far.
-    std::size_t frames_processed() const;
-    std::size_t alarms_emitted() const;
-
-    /// Serialises the release cursor, counters and released alarms. Legal
-    /// only while quiescent (nothing pending, nothing being released),
-    /// which the checkpoint barrier guarantees.
-    void Save(persist::Encoder& encoder) const;
-
-    /// Restores state saved by Save(). Returns false on malformed input.
-    bool Restore(persist::Decoder& decoder);
-
-    /// Copy of the released alarms (quiescent callers only).
-    std::vector<core::Alarm> released() const;
-
-    /// Wires the sink's mirror counters and latency histogram (all may be
-    /// null). Called once at service construction, before any Deposit.
-    /// The counters mirror frames_processed / released-alarm totals into
-    /// the registry; Restore() re-Sets them to the checkpointed values.
-    void AttachMetrics(obs::Counter* frames_processed,
-                       obs::Counter* alarms_emitted,
-                       obs::Histogram* admission_to_release_us);
-
-    AlarmCallback alarm_callback;            ///< Optional observer.
-    CompletionCallback completion_callback;  ///< Optional observer.
-    HistoryCallback history_callback;        ///< Optional observer.
-
-   private:
-    /// Runs the callbacks and the latency probe of released entries, in
-    /// order. Called without mu_, by the one releaser.
-    void RunCallbacks(const std::vector<Entry>& released);
-
-    mutable std::mutex mu_;
-    /// Completions waiting for release; its front is the release cursor
-    /// (the first not-yet-released sequence).
-    runtime::SequenceWindow<Entry> window_;
-    /// A depositor is running callbacks outside mu_; later depositors
-    /// leave the release to it.
-    bool releasing_ = false;
-    std::vector<core::Alarm> alarms_;
-    std::size_t frames_processed_ = 0;
-    obs::Counter* frames_processed_counter_ = nullptr;  ///< Registry mirror.
-    obs::Counter* alarms_counter_ = nullptr;            ///< Registry mirror.
-    obs::Histogram* latency_us_ = nullptr;  ///< Admission-to-release latency.
+    bool flushed = false;  ///< FlushLane ran (under ingest_mu_).
   };
 
   /// Returns the lane of `vehicle_id`, creating it if needed. Caller must
@@ -468,14 +383,26 @@ class FleetService {
   /// reschedules itself if the lane is still non-empty.
   void PumpLane(VehicleLane* lane);
 
+  /// Admission under ingest_mu_: the frame releases under `fleet_seq`
+  /// when given, else under the next global ingest seq.
+  Admission Admit(const telemetry::SensorFrame& frame,
+                  std::optional<std::uint64_t> fleet_seq);
+
+  /// FlushLane's body. Caller holds ingest_mu_.
+  void FlushLaneLocked(VehicleLane* lane);
+
+  /// Sum of every lane's ensemble counters (relaxed atomics, so safe to
+  /// read while pumps run; exact once drained). Caller holds ingest_mu_.
+  ensemble::EnsembleStats EnsembleTotalsLocked() const;
+
   /// Builds history records for the lane's scored samples beyond its
-  /// history cursor (advancing it), attributing them to global sequence
-  /// number `global_seq` and matching `alarms` to set the alarm bit.
-  /// Called by the owning pump (or under the drain barrier), so the
-  /// monitor state it reads is stable.
+  /// history cursor (advancing it), attributing them to sequence number
+  /// `seq` and matching `alarms` to set the alarm bit. Called by the
+  /// owning pump (or under the drain barrier), so the monitor state it
+  /// reads is stable.
   std::vector<history::HistoryRecord> BuildHistoryRecords(
       VehicleLane* lane, const std::vector<core::Alarm>& alarms,
-      std::uint64_t global_seq);
+      std::uint64_t seq);
 
   /// Serialises the quiescent service into `snapshot`. Caller holds
   /// ingest_mu_ and has passed the WaitIdle barrier.
@@ -493,7 +420,6 @@ class FleetService {
   std::vector<std::unique_ptr<VehicleLane>> lanes_;  ///< Registration order.
   std::unordered_map<std::int32_t, std::size_t> lane_index_;
   std::uint64_t next_global_seq_ = 0;
-  bool history_enabled_ = false;  ///< A history callback is installed.
   /// Run inside Checkpoint between the quiesce and the snapshot write.
   std::function<util::Status()> checkpoint_barrier_;
   bool ingest_started_ = false;  ///< A frame has been offered to Submit.
@@ -506,6 +432,8 @@ class FleetService {
   obs::Counter* frames_submitted_ = nullptr;
   obs::Counter* frames_accepted_ = nullptr;
   obs::Counter* frames_rejected_ = nullptr;
+  /// Frames stepped through a monitor, added by each pump per batch.
+  obs::Counter* frames_processed_ = nullptr;
   /// Derived fleet-wide ensemble counters (`ensemble.*`), refreshed from
   /// the per-lane atomics by SnapshotStats()/stats().
   obs::Counter* retrains_started_ = nullptr;
@@ -515,13 +443,17 @@ class FleetService {
   /// Member-fit duration histogram shared by every lane's ensemble.
   obs::Histogram* retrain_us_ = nullptr;
 
-  OrderedSink sink_;
+  /// Null when the service releases through a borrowed sink (a shard).
+  std::unique_ptr<OrderedSink> owned_sink_;
+  /// The sink completions release through: owned_sink_.get() or the
+  /// group's.
+  OrderedSink* sink_;
 
   /// Declared last: destroyed first, so in-flight pump tasks finish while
   /// the lanes they reference are still alive. Null when the service runs
-  /// on a borrowed pool (config_.shared_pool).
+  /// on a borrowed pool (a shard).
   std::unique_ptr<runtime::ThreadPool> owned_pool_;
-  /// The pool pump tasks run on: owned_pool_.get() or config_.shared_pool.
+  /// The pool pump tasks run on: owned_pool_.get() or the group's.
   runtime::ThreadPool* pool_;
 };
 

@@ -1,6 +1,5 @@
 #include "shard/shard_group.h"
 
-#include <algorithm>
 #include <filesystem>
 #include <utility>
 
@@ -12,7 +11,10 @@ namespace navarchos::shard {
 namespace {
 
 /// Layout version of the fleet manifest's "fleet" and "agg" chunks.
-constexpr std::uint32_t kManifestVersion = 1;
+/// Version 2 made "agg" the fleet sink's state (service::OrderedSink::Save)
+/// and the shard files' "sink" chunks alarm-free, so each released alarm
+/// is stored once.
+constexpr std::uint32_t kManifestVersion = 2;
 
 /// File name of the fleet manifest inside a checkpoint directory.
 const char kManifestName[] = "fleet.manifest";
@@ -28,21 +30,20 @@ std::string ShardFileName(std::uint32_t shard, std::uint64_t epoch) {
 ShardGroup::ShardGroup(const ShardGroupConfig& config)
     : config_(config),
       pool_(config.service.runtime.ResolveThreads()),
-      map_(config.shard_count, config.hash_seed),
-      aggregator_(config.shard_count) {
+      map_(config.shard_count, config.hash_seed) {
   NAVARCHOS_CHECK(config.shard_count >= 1);
   shards_.reserve(config.shard_count);
-  for (std::uint32_t shard = 0; shard < config.shard_count; ++shard) {
-    service::ServiceConfig shard_config = config.service;
-    shard_config.shared_pool = &pool_;
+  for (std::uint32_t shard = 0; shard < config.shard_count; ++shard)
     shards_.push_back(
-        std::make_unique<service::FleetService>(shard_config));
-    aggregator_.AttachShard(static_cast<int>(shard), shards_.back().get());
-  }
-  // The shared pool serves every shard, so its metrics belong to no single
-  // one; by convention they live in shard 0's registry (FleetSnapshot merges
-  // all registries, so the fleet view is the same either way).
-  pool_.AttachMetrics(shards_[0]->metrics());
+        std::make_unique<service::FleetService>(config.service, &pool_, &sink_));
+  // The shared pool and sink serve every shard, so their metrics belong to
+  // no single one; by convention they live in shard 0's registry
+  // (FleetSnapshot merges all registries, so the fleet view is the same
+  // either way).
+  obs::MetricsRegistry* metrics = shards_[0]->metrics();
+  pool_.AttachMetrics(metrics);
+  sink_.AttachMetrics(metrics->counter("service.alarms_emitted"),
+                      metrics->histogram("service.admission_to_release_us"));
 }
 
 ShardGroup::~ShardGroup() {
@@ -81,29 +82,28 @@ bool ShardGroup::Submit(const telemetry::SensorFrame& frame) {
   } else {
     shard = vehicles_[it->second].shard;
   }
-  const service::Admission admission =
-      shards_[static_cast<std::size_t>(shard)]->Ingest(frame);
-  if (!admission.accepted()) return false;
-  // Fleet seqs are assigned only to ADMITTED frames, in submission order:
-  // sheds leave no hole, so the aggregator's contiguous release never
-  // stalls.
-  aggregator_.OnAdmitted(shard, admission.global_seq, next_fleet_seq_);
-  ++next_fleet_seq_;
-  return true;
+  // A shed frame's fleet seq is skipped by the shard, so the sink's
+  // contiguous release never waits for it.
+  return shards_[static_cast<std::size_t>(shard)]
+      ->Ingest(frame, next_fleet_seq_++)
+      .accepted();
 }
 
 void ShardGroup::Drain() {
   std::lock_guard<std::mutex> lock(mu_);
   if (drained_) return;
   draining_ = true;
-  std::vector<std::int32_t> vehicle_order;
-  vehicle_order.reserve(vehicles_.size());
+  for (auto& shard : shards_) shard->Close();
+  // One barrier for every shard: the pool they share is idle, so every
+  // admitted frame was pumped and released through the sink.
+  pool_.WaitIdle();
+  // Flush lane by lane in fleet registration order - the lane order an
+  // unsharded drain flushes in.
   for (const VehicleSlot& slot : vehicles_) {
     NAVARCHOS_CHECK(slot.shard >= 0);  // every slot filled (wire order too)
-    vehicle_order.push_back(slot.vehicle_id);
+    shards_[static_cast<std::size_t>(slot.shard)]->FlushLane(slot.lane);
   }
   for (auto& shard : shards_) shard->Drain();
-  aggregator_.FinishFleet(vehicle_order);
   drained_ = true;
 }
 
@@ -126,7 +126,7 @@ core::FleetRunResult ShardGroup::TakeResult() {
       break;
     }
   }
-  result.alarms = aggregator_.released_alarms();
+  result.alarms = std::move(sink_.alarms());
   result.scored_samples.resize(vehicles_.size());
   result.calibrations.resize(vehicles_.size());
   result.quality.resize(vehicles_.size());
@@ -145,11 +145,12 @@ core::FleetRunResult ShardGroup::TakeResult() {
 }
 
 void ShardGroup::set_alarm_callback(service::AlarmCallback callback) {
-  aggregator_.set_alarm_callback(std::move(callback));
+  sink_.alarm_callback = std::move(callback);
 }
 
 void ShardGroup::set_history_callback(service::HistoryCallback callback) {
-  aggregator_.set_history_callback(std::move(callback));
+  // Every shard's pumps build history records while the sink has one.
+  sink_.history_callback = std::move(callback);
 }
 
 void ShardGroup::set_checkpoint_barrier(
@@ -161,7 +162,7 @@ void ShardGroup::set_checkpoint_barrier(
 util::Status ShardGroup::Checkpoint(const std::string& dir) {
   // Holding mu_ blocks new submissions on every shard at once; the shared
   // pool falling idle then means every admitted frame on every shard has
-  // been pumped, completed and released through the aggregator - the one
+  // been pumped, completed and released through the sink - the one
   // consistent fleet-wide cut the manifest describes.
   std::lock_guard<std::mutex> lock(mu_);
   if (draining_ || drained_)
@@ -183,7 +184,10 @@ util::Status ShardGroup::Checkpoint(const std::string& dir) {
   fleet_encoder.PutU32(kManifestVersion);
   fleet_encoder.PutU32(config_.shard_count);
   fleet_encoder.PutU64(config_.hash_seed);
-  fleet_encoder.PutU64(next_fleet_seq_);
+  // The fleet cursor. A wire-fed group's fleet seqs come from the client,
+  // not from Submit; quiescent, every seq below the sink's release cursor
+  // was released or skipped, whoever assigned it.
+  fleet_encoder.PutU64(sink_.next_release());
   fleet_encoder.PutU64(epoch);
   fleet_encoder.PutU32(static_cast<std::uint32_t>(vehicles_.size()));
   for (const VehicleSlot& slot : vehicles_)
@@ -191,7 +195,7 @@ util::Status ShardGroup::Checkpoint(const std::string& dir) {
   manifest.Add("fleet", std::move(fleet_encoder));
 
   persist::Encoder agg_encoder;
-  aggregator_.Save(agg_encoder);
+  sink_.Save(agg_encoder);
   manifest.Add("agg", std::move(agg_encoder));
 
   // Epoch-named per-shard files: the previous epoch's files stay intact
@@ -313,7 +317,7 @@ util::Status ShardGroup::RestoreFromDir(const std::string& dir) {
   if (agg_chunk == nullptr)
     return util::Status::Error("fleet manifest: missing 'agg' chunk");
   persist::Decoder agg_decoder(agg_chunk->payload);
-  if (!aggregator_.Restore(agg_decoder))
+  if (!sink_.Restore(agg_decoder))
     return util::Status::Error("fleet manifest: malformed 'agg' chunk");
   status = agg_decoder.ToStatus("fleet manifest 'agg' chunk");
   if (!status.ok()) return status;
@@ -331,17 +335,21 @@ util::Status ShardGroup::RestoreFromDir(const std::string& dir) {
     vehicle_index_.emplace(vehicle_id, vehicles_.size() - 1);
   }
 
-  // Cross-check the composition: the shards' admissions must sum to the
-  // fleet cursor, or the manifest and shard files disagree.
+  // Cross-check the composition: every fleet seq below the cursor was
+  // admitted by a shard or skipped for a shed, and the sink released up to
+  // the cursor - or the manifest and shard files disagree.
   std::uint64_t accepted = 0;
   for (const auto& shard : shards_) accepted += shard->stats().frames_accepted;
-  if (accepted != next_fleet_seq)
+  const std::uint64_t skipped = sink_.next_release() - sink_.frames_released();
+  if (accepted + skipped != next_fleet_seq)
     return util::Status::Error(
         "fleet manifest: shard admissions sum to " + std::to_string(accepted) +
-        " but the fleet cursor is " + std::to_string(next_fleet_seq));
-  if (aggregator_.next_fleet_release() != next_fleet_seq)
-    return util::Status::Error("fleet manifest: aggregator cursor " +
-                               std::to_string(aggregator_.next_fleet_release()) +
+        " and " + std::to_string(skipped) +
+        " seqs were skipped for sheds, but the fleet cursor is " +
+        std::to_string(next_fleet_seq));
+  if (sink_.next_release() != next_fleet_seq)
+    return util::Status::Error("fleet manifest: sink cursor " +
+                               std::to_string(sink_.next_release()) +
                                " disagrees with the fleet cursor " +
                                std::to_string(next_fleet_seq));
   next_fleet_seq_ = next_fleet_seq;
@@ -350,7 +358,7 @@ util::Status ShardGroup::RestoreFromDir(const std::string& dir) {
 }
 
 std::vector<core::Alarm> ShardGroup::released_alarms() const {
-  return aggregator_.released_alarms();
+  return sink_.released();
 }
 
 obs::StatsSnapshot ShardGroup::FleetSnapshot() {
@@ -362,13 +370,14 @@ obs::StatsSnapshot ShardGroup::FleetSnapshot() {
 
 ShardGroupStats ShardGroup::stats() const {
   ShardGroupStats total;
+  // Alarms are counted once, by the sink every shard releases through.
+  total.alarms_emitted = sink_.alarms_emitted();
   for (const auto& shard : shards_) {
     const service::ServiceStats stats = shard->stats();
     total.frames_submitted += stats.frames_submitted;
     total.frames_accepted += stats.frames_accepted;
     total.frames_rejected += stats.frames_rejected;
     total.frames_processed += stats.frames_processed;
-    total.alarms_emitted += stats.alarms_emitted;
     total.retrains_started += stats.retrains_started;
     total.retrains_completed += stats.retrains_completed;
     total.retrains_failed += stats.retrains_failed;
@@ -384,17 +393,6 @@ std::size_t ShardGroup::vehicle_count() const {
 
 service::FleetService* ShardGroup::shard_service(int shard) {
   return shards_[static_cast<std::size_t>(shard)].get();
-}
-
-void ShardGroup::OnWireAdmission(int shard, std::int32_t vehicle_id,
-                                 std::uint64_t local_seq,
-                                 std::uint64_t fleet_seq) {
-  (void)vehicle_id;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    next_fleet_seq_ = std::max(next_fleet_seq_, fleet_seq + 1);
-  }
-  aggregator_.OnAdmitted(shard, local_seq, fleet_seq);
 }
 
 void ShardGroup::OnWireRegistration(std::int32_t vehicle_id,

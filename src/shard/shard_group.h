@@ -1,10 +1,9 @@
 // ShardGroup: N in-process FleetService shards behind one router.
 //
-// The group owns one shared runtime::ThreadPool, N FleetServices running
-// on it (ServiceConfig::shared_pool), a ShardMap routing vehicle ids to
-// shards, and a FleetAggregator merging the shards' ordered release
-// streams back into one fleet-wide total order. Its public surface
-// mirrors FleetService - RegisterVehicle / Submit / Drain / TakeResult /
+// The group owns one shared runtime::ThreadPool, one service::OrderedSink,
+// N FleetServices running on that pool and releasing through that sink,
+// and a ShardMap routing vehicle ids to shards. Its public surface mirrors
+// FleetService - RegisterVehicle / Submit / Drain / TakeResult /
 // Checkpoint / Restore - so callers scale from one shard to N by changing
 // a count, not their code.
 //
@@ -12,17 +11,19 @@
 // sequence, fleet-level alarms, history records and query answers are
 // bit-identical at ANY shard count x ANY thread count, and equal to the
 // unsharded run. Sharding only re-partitions per-vehicle lanes between
-// services; every per-vehicle computation is untouched, and the fleet
-// sequence numbers assigned at Submit rebuild the one total order the
-// unsharded OrderedSink would have produced.
+// services; every per-vehicle computation is untouched. Every frame takes
+// a fleet sequence number in submission order (from Submit, or from a
+// sharded wire client's FRAMES tail), and the one sink releases by it -
+// the same total order the unsharded service's sink produces, ordered
+// once.
 //
 // Fleet-wide checkpoint: Checkpoint(dir) quiesces every shard behind one
 // barrier (the shared pool's WaitIdle with ingest blocked is a global
 // quiesce), writes one snapshot per shard plus a CRC'd manifest naming
-// them - and the manifest's atomic rename is the commit point, so a crash
-// between files leaves the previous checkpoint intact. RestoreFromDir
-// verifies every per-shard file against the manifest's CRCs before any
-// state is touched.
+// them and holding the sink's state - and the manifest's atomic rename is
+// the commit point, so a crash between files leaves the previous
+// checkpoint intact. RestoreFromDir verifies every per-shard file against
+// the manifest's CRCs before any state is touched.
 #ifndef NAVARCHOS_SHARD_SHARD_GROUP_H_
 #define NAVARCHOS_SHARD_SHARD_GROUP_H_
 
@@ -34,7 +35,7 @@
 #include <vector>
 
 #include "service/fleet_service.h"
-#include "shard/fleet_aggregator.h"
+#include "service/ordered_sink.h"
 #include "shard/shard_router.h"
 
 /// \file
@@ -48,7 +49,7 @@ namespace navarchos::shard {
 struct ShardGroupConfig {
   /// Per-shard service configuration (monitor pipeline, queue capacity,
   /// backpressure, pump batch). The `runtime` field sizes the ONE pool
-  /// all shards share; `shared_pool` is overwritten by the group.
+  /// all shards share.
   service::ServiceConfig service;
   /// Number of shards (1 = a single service behind the same API).
   std::uint32_t shard_count = 1;
@@ -56,7 +57,8 @@ struct ShardGroupConfig {
   std::uint64_t hash_seed = kDefaultHashSeed;
 };
 
-/// Aggregate counters over all shards (sums of the per-shard stats).
+/// Aggregate counters over all shards (sums of the per-shard stats, but
+/// alarms_emitted counted once, by the group's sink).
 using ShardGroupStats = service::ServiceStats;
 
 /// N FleetService shards behind one consistent-hash router. Threading
@@ -64,7 +66,7 @@ using ShardGroupStats = service::ServiceStats;
 /// thread (they are serialised internally), Drain never from a callback.
 class ShardGroup {
  public:
-  /// Builds the shared pool, the shards and the aggregator.
+  /// Builds the shared pool, the shared sink and the shards.
   explicit ShardGroup(const ShardGroupConfig& config);
 
   /// Drains (if not yet drained) and stops the shards and pool.
@@ -78,27 +80,30 @@ class ShardGroup {
   /// Idempotent: a known vehicle returns its existing index.
   int RegisterVehicle(std::int32_t vehicle_id);
 
-  /// Routes one frame to its home shard and, when admitted, assigns the
-  /// next fleet-wide sequence number. Returns whether the frame was
-  /// admitted (false = shed under kReject, or draining).
+  /// Routes one frame to its home shard under the next fleet-wide
+  /// sequence number. Returns whether the frame was admitted (false = shed
+  /// under kReject, which skips its fleet seq, or draining, which takes
+  /// none).
   bool Submit(const telemetry::SensorFrame& frame);
 
-  /// Drains every shard, then emits the end-of-stream flushes in fleet
-  /// registration order through the aggregator. Idempotent.
+  /// Closes every shard, waits once on the shared pool, then emits the
+  /// end-of-stream flushes lane by lane in fleet registration order, each
+  /// lane's history records attributed to its last released fleet seq.
+  /// Idempotent.
   void Drain();
 
-  /// Composes the fleet-wide run result: aggregator-ordered alarms plus
-  /// per-vehicle vectors re-indexed from shard lane order into fleet
+  /// Composes the fleet-wide run result: the sink's alarms in fleet order
+  /// plus per-vehicle vectors re-indexed from shard lane order into fleet
   /// registration order - the same shape an unsharded run returns.
   /// Requires Drain() first.
   core::FleetRunResult TakeResult();
 
-  /// Installs the fleet-wide alarm observer (forwarded to the
-  /// aggregator). Must be set before the first Submit.
+  /// Installs the fleet-wide alarm observer on the group's sink. Must be
+  /// set before the first Submit.
   void set_alarm_callback(service::AlarmCallback callback);
 
-  /// Installs the fleet-wide history observer; records carry fleet
-  /// sequence numbers. Must be set before the first Submit.
+  /// Installs the fleet-wide history observer on the group's sink; records
+  /// carry fleet sequence numbers. Must be set before the first Submit.
   void set_history_callback(service::HistoryCallback callback);
 
   /// Installs a barrier run inside Checkpoint after the fleet-wide
@@ -124,15 +129,17 @@ class ShardGroup {
   /// Copy of the fleet-ordered released alarms (quiescent callers only).
   std::vector<core::Alarm> released_alarms() const;
 
-  /// Sums of every per-shard service counter, ensemble counters included.
+  /// Sums of every per-shard service counter, ensemble counters included;
+  /// alarms_emitted is the group sink's count.
   ShardGroupStats stats() const;
 
   /// Merged fleet-wide metrics snapshot: the per-shard registry snapshots
   /// (FleetService::SnapshotStats) folded together with obs::MergeSnapshot
   /// - counters and histogram cells add, gauges take the max. Per-lane
   /// gauge names are keyed by vehicle id, and vehicles are sharded
-  /// disjointly, so no gauge collides across shards. The shared pool's
-  /// metrics live in shard 0's registry and appear here exactly once.
+  /// disjointly, so no gauge collides across shards. The shared pool's and
+  /// the shared sink's metrics live in shard 0's registry and appear here
+  /// exactly once.
   obs::StatsSnapshot FleetSnapshot();
 
   /// Number of registered vehicles, fleet-wide.
@@ -144,16 +151,6 @@ class ShardGroup {
   /// Borrowed access to shard `shard`'s service (wire front ends attach
   /// one IngestServer per shard).
   service::FleetService* shard_service(int shard);
-
-  /// Borrowed access to the fleet aggregator (wire front ends report
-  /// admissions into it).
-  FleetAggregator* aggregator() { return &aggregator_; }
-
-  /// Reports an admission decided outside Submit (the wire path: a shard
-  /// IngestServer admitted `local_seq` carrying `fleet_seq`). Also tracks
-  /// the fleet seq high-water mark.
-  void OnWireAdmission(int shard, std::int32_t vehicle_id,
-                       std::uint64_t local_seq, std::uint64_t fleet_seq);
 
   /// Records a vehicle's fleet-wide registration index declared over the
   /// wire (the HELLO fleet-order tail), so Drain can flush in fleet
@@ -171,13 +168,14 @@ class ShardGroup {
   const ShardGroupConfig config_;
   runtime::ThreadPool pool_;  ///< The one pool all shards share.
   ShardMap map_;
-  FleetAggregator aggregator_;
+  /// The one sink all shards release through, keyed by fleet seq.
+  service::OrderedSink sink_;
   std::vector<std::unique_ptr<service::FleetService>> shards_;
 
   mutable std::mutex mu_;  ///< Serialises Submit/Register/Drain/Checkpoint.
   std::vector<VehicleSlot> vehicles_;  ///< Fleet registration order.
   std::unordered_map<std::int32_t, std::size_t> vehicle_index_;
-  std::uint64_t next_fleet_seq_ = 0;
+  std::uint64_t next_fleet_seq_ = 0;  ///< Next fleet seq Submit assigns.
   std::uint64_t checkpoint_epoch_ = 0;
   bool draining_ = false;
   bool drained_ = false;

@@ -36,7 +36,7 @@
 
 /// \namespace navarchos::shard
 /// \brief Fleet sharding: the consistent-hash router, per-shard services
-/// behind one shared pool, the fleet-order aggregator and the fleet-wide
+/// behind one shared pool and one fleet-ordered sink, and the fleet-wide
 /// checkpoint manifest.
 
 namespace navarchos::shard {

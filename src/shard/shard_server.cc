@@ -24,18 +24,13 @@ util::Status ShardServer::Start() {
     // Shard 0 keeps the template's port (the well-known bootstrap port);
     // the rest bind ephemeral ports and are discovered via the shard map.
     if (shard > 0) config.port = 0;
-    // Wire admissions and fleet-order registrations flow back into the
-    // group's aggregator; the shard index is bound per listener.
+    // Fleet-order registrations flow back into the group, so its drain
+    // flushes lanes in fleet order.
     const int shard_index = static_cast<int>(shard);
     ShardGroup* group = group_;
     config.registration_hook = [group](std::int32_t vehicle_id,
                                        std::uint32_t fleet_order) {
       group->OnWireRegistration(vehicle_id, fleet_order);
-    };
-    config.admission_hook = [group, shard_index](std::int32_t vehicle_id,
-                                                 std::uint64_t local_seq,
-                                                 std::uint64_t fleet_seq) {
-      group->OnWireAdmission(shard_index, vehicle_id, local_seq, fleet_seq);
     };
     servers_.push_back(std::make_unique<net::IngestServer>(
         group_->shard_service(shard_index), config));

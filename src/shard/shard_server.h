@@ -1,13 +1,14 @@
 // ShardServer: one IngestServer listener per shard of a ShardGroup.
 //
 // The wire face of the sharded fleet: N poll-thread IngestServers, each
-// feeding its own shard's FleetService, wired back into the group's
-// FleetAggregator through the server admission/registration hooks. After
-// all listeners bound, every server advertises the complete shard map
-// (count, seed, ports) in its WELCOMEs, so a ShardedClient can bootstrap
-// from any one port. All servers share the group's fleet-wide history
-// service for QUERY, so RANK/TIMELINE/COMOVE answers are fleet-wide on
-// every shard.
+// feeding its own shard's FleetService. A frame's fleet seq (the FRAMES
+// fleet-seq tail) goes with it into its shard and on into the group's one
+// ordered sink; HELLO fleet-order tails reach the group through the server
+// registration hook, so its drain flushes lanes in fleet order. After all
+// listeners bound, every server advertises the complete shard map (count,
+// seed, ports) in its WELCOMEs, so a ShardedClient can bootstrap from any
+// one port. All servers share the group's fleet-wide history service for
+// QUERY, so RANK/TIMELINE/COMOVE answers are fleet-wide on every shard.
 #ifndef NAVARCHOS_SHARD_SHARD_SERVER_H_
 #define NAVARCHOS_SHARD_SHARD_SERVER_H_
 
@@ -20,7 +21,7 @@
 
 /// \file
 /// \brief ShardServer: the per-shard TCP listeners of a ShardGroup, with
-/// shard-map advertisement and fleet-order aggregation hooks.
+/// shard-map advertisement and the fleet-order registration hook.
 
 namespace navarchos::shard {
 

@@ -6,10 +6,10 @@
 // locally, and maintains one self-healing IngestClient session per shard
 // (session ids "<base>#<shard>"). Each Send routes its frame to the home
 // shard, assigns the next FLEET sequence number (carried in the FRAMES
-// fleet-seq tail so the server-side aggregator can restore the fleet-wide
-// total order), and inherits the per-shard stop-and-wait / reconnect /
-// RESUME machinery unchanged - a mid-stream cut on one shard heals
-// exactly like the unsharded client's.
+// fleet-seq tail; the shards release under it through their group's one
+// ordered sink, the fleet-wide total order), and inherits the per-shard
+// stop-and-wait / reconnect / RESUME machinery unchanged - a mid-stream
+// cut on one shard heals exactly like the unsharded client's.
 //
 // Resume across client objects replays the WHOLE submission stream: the
 // caller re-Sends every frame from the beginning and the client skips

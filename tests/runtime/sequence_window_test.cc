@@ -1,8 +1,8 @@
-// SequenceWindow: the reorder window under the ordered sink and the fleet
-// aggregator. Verified here: items put in any order leave in sequence
-// order, only the contiguous prefix at the front is ever ready, the window
-// grows far past its first allocation without losing or reordering items,
-// and Reset moves the front to a restored cursor.
+// SequenceWindow: the reorder window under the ordered sink. Verified
+// here: items put in any order leave in sequence order, only the
+// contiguous prefix at the front is ever ready, the window grows far past
+// its first allocation without losing or reordering items, and Reset
+// moves the front to a restored cursor.
 #include <cstdint>
 #include <memory>
 #include <vector>

@@ -5,13 +5,16 @@
 // shard session, and through a connection reset on one shard while every
 // shard's batch is in flight. Also pins the backward-compat boundary: a plain (pre-
 // shard-map) IngestClient against a single-shard ShardServer still works,
-// because a 1-shard WELCOME advertises no map at all.
+// because a 1-shard WELCOME advertises no map at all. And a frame one shard
+// sheds never stalls the fleet's release, nor fails its checkpoint.
 #include <cstdint>
+#include <filesystem>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "history/history_log.h"
 #include "net/fault_injection.h"
 #include "net/ingest_client.h"
 #include "runtime/runtime_config.h"
@@ -255,6 +258,131 @@ TEST(ShardedLoopbackTest, PlainClientStillSpeaksToASingleShardServer) {
   group.Drain();
   const auto wire = group.TakeResult();
   ExpectAlarmsIdentical(reference.alarms, wire.alarms);
+}
+
+TEST(ShardedLoopbackTest, ShedOnOneShardNeverStallsFleetRelease) {
+  // A sharded client numbers every frame with a fleet seq before a shard
+  // admits it, so a frame one shard sheds leaves its fleet seq unused.
+  // The fleet release must pass over that seq instead of waiting for it
+  // forever: one worker and 1-frame lanes under kReject shed constantly,
+  // and the drain must still release every admitted frame's history
+  // records, per vehicle in order.
+  const auto fleet = telemetry::GenerateFleet(SmallFleetConfig());
+  const auto stream = telemetry::InterleaveFleetStream(fleet);
+  const auto ids = service::VehicleIdsOf(fleet);
+
+  shard::ShardGroupConfig config = GroupConfig(2, 1);
+  config.service.queue_capacity = 1;
+  config.service.backpressure = service::BackpressurePolicy::kReject;
+  // A short reference, so every vehicle scores samples from the few frames
+  // its 1-frame lane admits, even when a loaded host sheds most of them.
+  config.service.monitor.transform_options.window = 20;
+  config.service.monitor.transform_options.stride = 5;
+  config.service.monitor.profile_minutes = 100.0;
+  config.service.monitor.threshold.burn_in_minutes = 30.0;
+  shard::ShardGroup group(config);
+  std::vector<history::HistoryRecord> records;
+  group.set_history_callback([&records](const history::HistoryRecord& record) {
+    records.push_back(record);
+  });
+  net::ServerConfig server_template;
+  server_template.port = 0;
+  shard::ShardServer server(&group, server_template);
+  ASSERT_TRUE(server.Start().ok());
+
+  shard::ShardedClientConfig client_config;
+  client_config.client.port = server.port(0);
+  client_config.client.session_id = "sharded-shed";
+  shard::ShardedClient client(client_config);
+  ASSERT_TRUE(client.Connect(ids, /*resume=*/false).ok());
+  for (const auto& frame : stream) ASSERT_TRUE(client.Send(frame).ok());
+  ASSERT_TRUE(client.Finish().ok());
+  ASSERT_TRUE(server.WaitForFinishedSessions(2, /*timeout_ms=*/30000));
+  server.Stop();
+
+  std::uint64_t admitted = 0;
+  std::uint64_t shed = 0;
+  for (int shard = 0; shard < 2; ++shard) {
+    admitted += server.server(shard)->stats().frames_admitted;
+    shed += server.server(shard)->stats().frames_shed;
+  }
+  ASSERT_GT(shed, 0u);
+  ASSERT_EQ(admitted + shed, stream.size());
+
+  group.Drain();
+  EXPECT_EQ(group.stats().frames_processed, admitted);
+  const auto result = group.TakeResult();
+  ASSERT_EQ(result.scored_samples.size(), ids.size());
+  std::size_t scored = 0;
+  for (std::size_t v = 0; v < ids.size(); ++v) {
+    SCOPED_TRACE("vehicle " + std::to_string(ids[v]));
+    std::vector<const history::HistoryRecord*> own;
+    for (const auto& record : records)
+      if (record.vehicle_id == ids[v]) own.push_back(&record);
+    const auto& samples = result.scored_samples[v];
+    scored += samples.size();
+    ASSERT_EQ(own.size(), samples.size());
+    for (std::size_t i = 0; i < own.size(); ++i) {
+      ASSERT_EQ(own[i]->timestamp, samples[i].timestamp) << "record " << i;
+      if (i > 0) {
+        ASSERT_GE(own[i]->global_seq, own[i - 1]->global_seq) << "record " << i;
+      }
+    }
+  }
+  EXPECT_GT(scored, 0u);
+  EXPECT_EQ(records.size(), scored);
+}
+
+TEST(ShardedLoopbackTest, ShedFleetSeqsPassTheFleetCheckpointCrossChecks) {
+  // A wire-fed fleet checkpointed between batches, after sheds: the
+  // manifest's fleet cursor must equal the shards' admissions plus the
+  // skipped fleet seqs and the sink's release cursor, so a fresh group
+  // restores it - and the live fleet then finishes its stream.
+  const auto fleet = telemetry::GenerateFleet(SmallFleetConfig());
+  const auto stream = telemetry::InterleaveFleetStream(fleet);
+  const auto ids = service::VehicleIdsOf(fleet);
+  shard::ShardGroupConfig config = GroupConfig(2, 1);
+  config.service.queue_capacity = 1;
+  config.service.backpressure = service::BackpressurePolicy::kReject;
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "navshard_shed_checkpoint")
+          .string();
+  std::filesystem::remove_all(dir);
+
+  shard::ShardGroup group(config);
+  net::ServerConfig server_template;
+  server_template.port = 0;
+  shard::ShardServer server(&group, server_template);
+  ASSERT_TRUE(server.Start().ok());
+  shard::ShardedClientConfig client_config;
+  client_config.client.port = server.port(0);
+  client_config.client.session_id = "sharded-shed-checkpoint";
+  shard::ShardedClient client(client_config);
+  ASSERT_TRUE(client.Connect(ids, /*resume=*/false).ok());
+  const std::size_t cut = stream.size() / 2;
+  for (std::size_t i = 0; i < cut; ++i) ASSERT_TRUE(client.Send(stream[i]).ok());
+  ASSERT_TRUE(client.Flush().ok());
+  const util::Status checkpoint = group.Checkpoint(dir);
+  ASSERT_TRUE(checkpoint.ok()) << checkpoint.message();
+  std::uint64_t shed = 0;
+  for (int shard = 0; shard < 2; ++shard)
+    shed += server.server(shard)->stats().frames_shed;
+  ASSERT_GT(shed, 0u);
+  {
+    shard::ShardGroup restored(config);
+    const util::Status status = restored.RestoreFromDir(dir);
+    ASSERT_TRUE(status.ok()) << status.message();
+    EXPECT_EQ(restored.stats().frames_accepted, group.stats().frames_accepted);
+    EXPECT_EQ(restored.stats().frames_accepted + shed, cut);
+  }
+
+  for (std::size_t i = cut; i < stream.size(); ++i)
+    ASSERT_TRUE(client.Send(stream[i]).ok());
+  ASSERT_TRUE(client.Finish().ok());
+  ASSERT_TRUE(server.WaitForFinishedSessions(2, /*timeout_ms=*/30000));
+  server.Stop();
+  group.Drain();
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace
