@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <system_error>
 #include <utility>
@@ -41,7 +42,7 @@ struct SegmentFile {
 /// ordinal. When a sealed segment and a .part share an ordinal (a crash
 /// between seal-rename and tail unlink), the sealed twin wins; the stale
 /// .part path is reported through `stale_parts` so the writer can unlink
-/// it (the read-only reader just ignores it).
+/// it (a read-only scan just ignores it).
 util::Status ScanDir(const std::string& dir,
                      std::map<std::int32_t, std::vector<SegmentFile>>* out,
                      std::vector<std::string>* stale_parts) {
@@ -67,9 +68,9 @@ util::Status ScanDir(const std::string& dir,
     }
     // Twin ordinals: keep the sealed one, report the other as stale.
     if (sealed) {
-      if (stale_parts != nullptr) stale_parts->push_back(it->second.path);
+      stale_parts->push_back(it->second.path);
       it->second = SegmentFile{ordinal, entry.path().string(), true};
-    } else if (stale_parts != nullptr) {
+    } else {
       stale_parts->push_back(entry.path().string());
     }
   }
@@ -231,7 +232,180 @@ void ParseSegment(const std::vector<std::uint8_t>& bytes, SegmentParse* out) {
   }
 }
 
+/// One segment of a vehicle's chain as LoadDir decoded it.
+struct LoadedSegment {
+  std::int32_t vehicle_id = 0;
+  std::uint32_t ordinal = 0;
+  std::string path;
+  bool is_tail = false;             ///< The chain's active .part.
+  std::vector<std::uint8_t> bytes;  ///< The segment's verified prefix.
+  SegmentParse parse;
+};
+
+/// Reads every vehicle's segment chain under `dir`, in vehicle-id then
+/// ordinal order, checks it and hands each segment to `visit`. A sealed
+/// segment must verify fully, only the newest segment may be a .part, and
+/// every header must name its file's vehicle. A torn tail is cut back to
+/// its verified prefix (a tail torn inside its header is visited without
+/// one) and the bytes cut are added to `*torn_bytes` when it is non-null.
+/// With `writable` the scan also repairs the directory: stale .part twins
+/// and header-torn tails are removed and a torn tail is truncated on disk.
+/// Read-only it changes nothing, so it can run against a directory a live
+/// writer still owns. A missing directory holds no segments.
+util::Status LoadDir(const std::string& dir, bool writable,
+                     const std::function<util::Status(LoadedSegment&)>& visit,
+                     std::uint64_t* torn_bytes) {
+  const std::string what = writable ? "history open: " : "history read: ";
+  std::error_code ec;
+  if (!std::filesystem::exists(dir, ec)) return util::Status();
+  std::map<std::int32_t, std::vector<SegmentFile>> segments;
+  std::vector<std::string> stale_parts;
+  util::Status status = ScanDir(dir, &segments, &stale_parts);
+  if (!status.ok()) return status;
+  // Stale .part twins of sealed segments: the seal completed (the rename
+  // is the commit point) but the crash hit before the unlink. Finish it.
+  if (writable)
+    for (const std::string& path : stale_parts)
+      std::filesystem::remove(path, ec);
+
+  for (auto& [vehicle_id, files] : segments) {
+    for (std::size_t i = 0; i < files.size(); ++i) {
+      const SegmentFile& file = files[i];
+      LoadedSegment segment;
+      segment.vehicle_id = vehicle_id;
+      segment.ordinal = file.ordinal;
+      segment.path = file.path;
+      segment.is_tail = i + 1 == files.size() && !file.sealed;
+      if (!file.sealed && !segment.is_tail)
+        return util::Status::Error(what + "stale tail segment " + file.path +
+                                   " is not the newest segment");
+      status = ReadFileBytes(file.path, &segment.bytes);
+      if (!status.ok()) return status;
+      const SegmentParse& parse = segment.parse;
+      ParseSegment(segment.bytes, &segment.parse);
+      if (file.sealed && (parse.torn || !parse.header_ok))
+        return util::Status::Error(what + "sealed segment " + file.path +
+                                   " corrupt: " + parse.error);
+      if (parse.header_ok && parse.vehicle_id != vehicle_id)
+        return util::Status::Error(what + "segment " + file.path +
+                                   " header names vehicle " +
+                                   std::to_string(parse.vehicle_id));
+      if (parse.torn) {  // only the tail gets here
+        if (torn_bytes != nullptr)
+          *torn_bytes += segment.bytes.size() - parse.valid_bytes;
+        if (writable && !parse.header_ok) {
+          // The crash tore the tail inside its header: nothing of the
+          // segment is trustworthy. Drop it; the next append starts fresh.
+          std::filesystem::remove(file.path, ec);
+        } else if (writable) {
+          std::filesystem::resize_file(file.path, parse.valid_bytes, ec);
+          if (ec)
+            return util::Status::Error(what + "cannot truncate torn " +
+                                       file.path + ": " + ec.message());
+        }
+        segment.bytes.resize(parse.valid_bytes);
+      }
+      status = visit(segment);
+      if (!status.ok()) return status;
+    }
+  }
+  return util::Status();
+}
+
 }  // namespace
+
+double SeverityRatio(const HistoryRecord& record) {
+  return record.threshold > 0.0 ? record.score / record.threshold
+                                : record.score;
+}
+
+void RankFold::Add(const HistoryRecord& record) {
+  const double ratio = SeverityRatio(record);
+  ++records;
+  if (record.alarm) ++alarms;
+  ratio_sum += ratio;
+  max_ratio = std::max(max_ratio, ratio);
+  last_ts = std::max(last_ts, record.timestamp);
+}
+
+void VehicleIndex::Add(const HistoryRecord& record) {
+  if (record.alarm) {
+    const AlarmRef ref{record.global_seq, fold.records};
+    alarms.insert(std::upper_bound(alarms.begin(), alarms.end(), ref,
+                                   [](const AlarmRef& a, const AlarmRef& b) {
+                                     return a.global_seq < b.global_seq;
+                                   }),
+                  ref);
+  }
+  fold.Add(record);
+  min_ts = std::min(min_ts, record.timestamp);
+  max_ts = std::max(max_ts, record.timestamp);
+  SegmentSummary& segment = segments.back();
+  if (segment.records++ == 0) segment.first_seq = record.global_seq;
+  segment.last_seq = record.global_seq;
+  segment.min_ts = std::min(segment.min_ts, record.timestamp);
+  segment.max_ts = std::max(segment.max_ts, record.timestamp);
+}
+
+// -------------------------------------------------------------- HistoryIndex
+
+util::Status HistoryIndex::Scan(const std::string& dir, HistoryIndex* out) {
+  *out = HistoryIndex();
+  out->dir_ = dir;
+  return LoadDir(
+      dir, /*writable=*/false,
+      [out](LoadedSegment& segment) {
+        if (segment.parse.header_ok)
+          out->AddSegment(segment.vehicle_id, segment.ordinal,
+                          segment.parse.records,
+                          segment.is_tail ? &segment.bytes : nullptr);
+        return util::Status();
+      },
+      nullptr);
+}
+
+void HistoryIndex::AddSegment(std::int32_t vehicle_id, std::uint32_t ordinal,
+                              const std::vector<HistoryRecord>& records,
+                              std::vector<std::uint8_t>* tail_bytes) {
+  VehicleIndex& entry = vehicles_[vehicle_id];
+  entry.segments.emplace_back();
+  entry.segments.back().ordinal = ordinal;
+  for (const HistoryRecord& record : records) entry.Add(record);
+  if (tail_bytes != nullptr) entry.tail_bytes = std::move(*tail_bytes);
+}
+
+util::Status HistoryIndex::Decode(std::int32_t vehicle_id,
+                                  const VehicleIndex& entry,
+                                  std::size_t segment,
+                                  std::vector<HistoryRecord>* out) const {
+  const SegmentSummary& summary = entry.segments[segment];
+  const bool is_tail =
+      segment + 1 == entry.segments.size() && !entry.tail_bytes.empty();
+  const std::string path =
+      (std::filesystem::path(dir_) /
+       SegmentName(vehicle_id, summary.ordinal, is_tail ? ".part" : ".hseg"))
+          .string();
+  SegmentParse parse;
+  if (is_tail) {
+    ParseSegment(entry.tail_bytes, &parse);
+  } else {
+    std::vector<std::uint8_t> bytes;
+    const util::Status status = ReadFileBytes(path, &bytes);
+    if (!status.ok()) return status;
+    ParseSegment(bytes, &parse);
+  }
+  if (parse.torn || !parse.header_ok || parse.vehicle_id != vehicle_id)
+    return util::Status::Error("history query: segment " + path +
+                               " corrupt: " + parse.error);
+  if (parse.records.size() != summary.records ||
+      (summary.records > 0 &&
+       (parse.records.front().global_seq != summary.first_seq ||
+        parse.records.back().global_seq != summary.last_seq)))
+    return util::Status::Error("history query: segment " + path +
+                               " no longer holds the records indexed from it");
+  *out = std::move(parse.records);
+  return util::Status();
+}
 
 // ------------------------------------------------------------- HistoryWriter
 
@@ -252,78 +426,48 @@ util::Status HistoryWriter::Open(const std::string& dir) {
   if (ec)
     return util::Status::Error("history open: cannot create " + dir + ": " +
                                ec.message());
-
-  std::map<std::int32_t, std::vector<SegmentFile>> segments;
-  std::vector<std::string> stale_parts;
-  util::Status status = ScanDir(dir, &segments, &stale_parts);
-  if (!status.ok()) return status;
-  // Stale .part twins of sealed segments: the seal completed (the rename
-  // is the commit point) but the crash hit before the unlink. Finish it.
-  for (const std::string& path : stale_parts)
-    std::filesystem::remove(path, ec);
-
-  for (auto& [vehicle_id, files] : segments) {
-    VehicleLog& log = vehicles_[vehicle_id];
-    for (std::size_t i = 0; i < files.size(); ++i) {
-      const SegmentFile& file = files[i];
-      const bool is_tail = i + 1 == files.size() && !file.sealed;
-      if (!file.sealed && !is_tail)
-        return util::Status::Error("history open: stale tail segment " +
-                                   file.path + " is not the newest segment");
-      std::vector<std::uint8_t> bytes;
-      status = ReadFileBytes(file.path, &bytes);
-      if (!status.ok()) return status;
-      SegmentParse parse;
-      ParseSegment(bytes, &parse);
-      if (file.sealed && (parse.torn || !parse.header_ok))
-        return util::Status::Error("history open: sealed segment " +
-                                   file.path + " corrupt: " + parse.error);
-      if (parse.header_ok && parse.vehicle_id != vehicle_id)
-        return util::Status::Error("history open: segment " + file.path +
-                                   " header names vehicle " +
-                                   std::to_string(parse.vehicle_id));
-      if (is_tail && !parse.header_ok) {
-        // The crash tore the tail inside its header: nothing of the
-        // segment is trustworthy. Drop it; the next append starts fresh.
-        stats_.torn_bytes_truncated += bytes.size();
-        std::filesystem::remove(file.path, ec);
-        log.next_ordinal = std::max(log.next_ordinal, file.ordinal + 1);
-        continue;
-      }
-      if (is_tail && parse.torn) {
-        stats_.torn_bytes_truncated += bytes.size() - parse.valid_bytes;
-        std::filesystem::resize_file(file.path, parse.valid_bytes, ec);
-        if (ec)
-          return util::Status::Error("history open: cannot truncate torn " +
-                                     file.path + ": " + ec.message());
-        bytes.resize(parse.valid_bytes);
-      }
-      // Advance the idempotence cursor over every recovered record.
-      for (const HistoryRecord& record : parse.records) {
-        if (log.has_logged && record.global_seq == log.last_seq) {
-          ++log.last_sub;
-        } else {
-          log.has_logged = true;
-          log.last_seq = record.global_seq;
-          log.last_sub = 0;
+  // A writer reopened after Close starts again from what is on disk.
+  for (auto& [vehicle_id, log] : vehicles_)
+    if (log.fd >= 0) ::close(log.fd);
+  vehicles_.clear();
+  index_ = HistoryIndex();
+  index_.dir_ = dir;
+  const util::Status status = LoadDir(
+      dir, /*writable=*/true,
+      [this](LoadedSegment& segment) {
+        VehicleLog& log = vehicles_[segment.vehicle_id];
+        log.next_ordinal = std::max(log.next_ordinal, segment.ordinal + 1);
+        const SegmentParse& parse = segment.parse;
+        if (!parse.header_ok) return util::Status();  // removed by LoadDir
+        // Advance the idempotence cursor over every recovered record.
+        for (const HistoryRecord& record : parse.records) {
+          if (log.has_logged && record.global_seq == log.last_seq) {
+            ++log.last_sub;
+          } else {
+            log.has_logged = true;
+            log.last_seq = record.global_seq;
+            log.last_sub = 0;
+          }
         }
-      }
-      log.next_ordinal = std::max(log.next_ordinal, file.ordinal + 1);
-      if (is_tail) {
-        // Resume appending to the (now clean) tail in place.
-        log.fd = ::open(file.path.c_str(), O_WRONLY | O_APPEND | O_CLOEXEC);
-        if (log.fd < 0)
-          return util::Status::Error("history open: cannot reopen tail " +
-                                     file.path);
-        log.part_path = file.path;
-        log.has_active = true;
-        log.segment_version = parse.version;
-        log.mirror = std::move(bytes);
-        log.prev_seq = parse.prev_seq;
-        log.prev_ts = parse.prev_ts;
-      }
-    }
-  }
+        if (segment.is_tail) {
+          // Resume appending to the (now clean) tail in place.
+          log.fd =
+              ::open(segment.path.c_str(), O_WRONLY | O_APPEND | O_CLOEXEC);
+          if (log.fd < 0)
+            return util::Status::Error("history open: cannot reopen tail " +
+                                       segment.path);
+          log.part_path = segment.path;
+          log.has_active = true;
+          log.segment_version = parse.version;
+          log.prev_seq = parse.prev_seq;
+          log.prev_ts = parse.prev_ts;
+        }
+        index_.AddSegment(segment.vehicle_id, segment.ordinal, parse.records,
+                          segment.is_tail ? &segment.bytes : nullptr);
+        return util::Status();
+      },
+      &stats_.torn_bytes_truncated);
+  if (!status.ok()) return status;
   dir_ = dir;
   open_ = true;
   return util::Status();
@@ -400,7 +544,7 @@ util::Status HistoryWriter::StartSegment(std::int32_t vehicle_id,
       static_cast<ssize_t>(bytes.size()))
     return util::Status::Error("history append: short write to " +
                                log->part_path);
-  log->mirror = std::move(bytes);
+  index_.AddSegment(vehicle_id, ordinal, {}, &bytes);
   log->prev_seq = first.global_seq;
   log->prev_ts = first.timestamp;
   log->has_active = true;
@@ -458,18 +602,19 @@ util::Status HistoryWriter::WriteBlock(std::int32_t vehicle_id,
       static_cast<ssize_t>(block.size()))
     return util::Status::Error("history append: short write to " +
                                log->part_path);
-  log->mirror.insert(log->mirror.end(), block.begin(), block.end());
+  VehicleIndex& entry = index_.vehicles_[vehicle_id];
+  entry.tail_bytes.insert(entry.tail_bytes.end(), block.begin(), block.end());
+  for (const HistoryRecord& record : log->pending) entry.Add(record);
   log->pending.clear();
   ++stats_.blocks_written;
 
-  if (log->mirror.size() >= config_.segment_bytes)
-    return SealSegment(vehicle_id, log);
+  if (entry.tail_bytes.size() >= config_.segment_bytes)
+    return SealSegment(log, &entry.tail_bytes);
   return util::Status();
 }
 
-util::Status HistoryWriter::SealSegment(std::int32_t vehicle_id,
-                                        VehicleLog* log) {
-  (void)vehicle_id;
+util::Status HistoryWriter::SealSegment(VehicleLog* log,
+                                        std::vector<std::uint8_t>* tail_bytes) {
   const std::string sealed_path =
       std::filesystem::path(log->part_path).replace_extension(".hseg").string();
   const std::string temp_path = sealed_path + ".tmp";
@@ -477,8 +622,8 @@ util::Status HistoryWriter::SealSegment(std::int32_t vehicle_id,
     std::ofstream out(temp_path, std::ios::binary | std::ios::trunc);
     if (!out)
       return util::Status::Error("history seal: cannot open " + temp_path);
-    out.write(reinterpret_cast<const char*>(log->mirror.data()),
-              static_cast<std::streamsize>(log->mirror.size()));
+    out.write(reinterpret_cast<const char*>(tail_bytes->data()),
+              static_cast<std::streamsize>(tail_bytes->size()));
     out.flush();
     if (!out)
       return util::Status::Error("history seal: short write to " + temp_path);
@@ -496,7 +641,7 @@ util::Status HistoryWriter::SealSegment(std::int32_t vehicle_id,
   std::filesystem::remove(log->part_path, ec);
   log->part_path.clear();
   log->has_active = false;
-  log->mirror.clear();
+  tail_bytes->clear();
   ++stats_.segments_sealed;
   return util::Status();
 }
@@ -528,51 +673,25 @@ util::Status HistoryReader::ReadDir(const std::string& dir,
                                     std::vector<VehicleLogData>* out,
                                     ReadStats* stats) {
   out->clear();
-  if (stats != nullptr) *stats = ReadStats();
-  std::error_code ec;
-  if (!std::filesystem::exists(dir, ec)) return util::Status();
-
-  // Read-only scan: stale .part twins of sealed segments are ignored (not
-  // unlinked) and torn tails are skipped (not truncated), so queries can
-  // run against a directory a live writer still owns.
-  std::map<std::int32_t, std::vector<SegmentFile>> segments;
-  util::Status status = ScanDir(dir, &segments, nullptr);
-  if (!status.ok()) return status;
-
-  for (auto& [vehicle_id, files] : segments) {
-    VehicleLogData data;
-    data.vehicle_id = vehicle_id;
-    for (std::size_t i = 0; i < files.size(); ++i) {
-      const SegmentFile& file = files[i];
-      const bool is_tail = i + 1 == files.size() && !file.sealed;
-      if (!file.sealed && !is_tail)
-        return util::Status::Error("history read: stale tail segment " +
-                                   file.path + " is not the newest segment");
-      std::vector<std::uint8_t> bytes;
-      status = ReadFileBytes(file.path, &bytes);
-      if (!status.ok()) return status;
-      SegmentParse parse;
-      ParseSegment(bytes, &parse);
-      if (!is_tail && (parse.torn || !parse.header_ok))
-        return util::Status::Error("history read: sealed segment " +
-                                   file.path + " corrupt: " + parse.error);
-      if (parse.header_ok && parse.vehicle_id != vehicle_id)
-        return util::Status::Error("history read: segment " + file.path +
-                                   " header names vehicle " +
-                                   std::to_string(parse.vehicle_id));
-      if (stats != nullptr) {
-        ++stats->segments;
-        stats->records += parse.records.size();
-        if (parse.torn)
-          stats->torn_tail_bytes += bytes.size() - parse.valid_bytes;
-      }
-      data.records.insert(data.records.end(),
-                          std::make_move_iterator(parse.records.begin()),
-                          std::make_move_iterator(parse.records.end()));
-    }
-    out->push_back(std::move(data));
-  }
-  return util::Status();
+  ReadStats counts;
+  std::uint64_t torn_bytes = 0;
+  const util::Status status = LoadDir(
+      dir, /*writable=*/false,
+      [out, &counts](LoadedSegment& segment) {
+        if (out->empty() || out->back().vehicle_id != segment.vehicle_id)
+          out->push_back(VehicleLogData{segment.vehicle_id, {}});
+        std::vector<HistoryRecord>& records = segment.parse.records;
+        ++counts.segments;
+        counts.records += records.size();
+        out->back().records.insert(out->back().records.end(),
+                                   std::make_move_iterator(records.begin()),
+                                   std::make_move_iterator(records.end()));
+        return util::Status();
+      },
+      &torn_bytes);
+  counts.torn_tail_bytes = static_cast<std::size_t>(torn_bytes);
+  if (stats != nullptr) *stats = counts;
+  return status;
 }
 
 }  // namespace navarchos::history

@@ -48,10 +48,18 @@
 // and silently skips re-appends at or below it, so a restored service
 // replaying from its checkpoint regenerates the byte-identical records
 // without ever duplicating a line of history.
+//
+// Index: the writer keeps a HistoryIndex current as blocks reach the log
+// (Open rebuilds it from the records it decodes anyway). Per vehicle it
+// holds RANK's whole-log fold, one summary per segment and the positions of
+// alarmed records - never a decoded record. The active tail's bytes are the
+// in-memory mirror the writer already keeps, so a query decodes at most
+// that tail plus the sealed segments its range overlaps.
 #ifndef NAVARCHOS_HISTORY_HISTORY_LOG_H_
 #define NAVARCHOS_HISTORY_HISTORY_LOG_H_
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -60,8 +68,9 @@
 
 /// \file
 /// \brief Append-only per-vehicle anomaly history log: CRC'd delta-encoded
-/// segments with torn-tail recovery, an idempotent HistoryWriter and the
-/// HistoryReader that scans a log directory back into records.
+/// segments with torn-tail recovery, an idempotent HistoryWriter that keeps
+/// a per-vehicle HistoryIndex, and the HistoryReader that scans a log
+/// directory back into records.
 
 /// \namespace navarchos::history
 /// \brief The anomaly history subsystem: durable per-vehicle score/alarm
@@ -124,6 +133,99 @@ struct HistoryConfig {
   std::size_t block_records = 64;
 };
 
+/// Severity of one record: score relative to its threshold (score/threshold
+/// when the threshold is positive, the raw score otherwise). Dimensionless,
+/// so it compares across detectors and reference cycles.
+double SeverityRatio(const HistoryRecord& record);
+
+/// RANK's aggregate of one vehicle's records. Every field starts from
+/// RANK's initial value and Add folds records left to right, so folding a
+/// log in append order gives RANK's doubles to the bit.
+struct RankFold {
+  std::uint64_t records = 0;  ///< Records folded.
+  std::uint64_t alarms = 0;   ///< How many of them raised alarms.
+  double ratio_sum = 0.0;     ///< Sum of SeverityRatio in append order.
+  double max_ratio = 0.0;     ///< Worst ratio (0 when none is positive).
+  std::int64_t last_ts = 0;   ///< Newest timestamp (0 when none is positive).
+
+  /// Folds one more record in.
+  void Add(const HistoryRecord& record);
+};
+
+/// What a HistoryIndex knows of one segment without decoding it.
+struct SegmentSummary {
+  std::uint32_t ordinal = 0;  ///< File ordinal in the vehicle's chain.
+  std::uint64_t records = 0;  ///< Records the segment holds.
+  /// Oldest timestamp of its records (INT64_MAX while it holds none).
+  std::int64_t min_ts = std::numeric_limits<std::int64_t>::max();
+  /// Newest timestamp of its records (INT64_MIN while it holds none).
+  std::int64_t max_ts = std::numeric_limits<std::int64_t>::min();
+  std::uint64_t first_seq = 0;  ///< Global seq of its first record.
+  std::uint64_t last_seq = 0;   ///< Global seq of its last record.
+};
+
+/// Where one alarmed record sits in its vehicle's log.
+struct AlarmRef {
+  std::uint64_t global_seq = 0;  ///< The record's global seq.
+  std::uint64_t position = 0;    ///< Records before it in the vehicle's log.
+};
+
+/// One vehicle's entry in a HistoryIndex.
+struct VehicleIndex {
+  RankFold fold;  ///< RANK over the whole log.
+  /// Oldest timestamp in the whole log (INT64_MAX while it is empty).
+  std::int64_t min_ts = std::numeric_limits<std::int64_t>::max();
+  /// Newest timestamp in the whole log (INT64_MIN while it is empty).
+  std::int64_t max_ts = std::numeric_limits<std::int64_t>::min();
+  /// Every segment in chain order; the last one is the active tail while
+  /// tail_bytes is non-empty.
+  std::vector<SegmentSummary> segments;
+  /// Verified bytes of the active tail segment - the writer's in-memory
+  /// mirror of its .part - or empty when every segment is sealed.
+  std::vector<std::uint8_t> tail_bytes;
+  /// Alarmed records ordered by global seq, equal seqs in append order.
+  std::vector<AlarmRef> alarms;
+
+  /// Indexes one record appended to the newest segment.
+  void Add(const HistoryRecord& record);
+};
+
+/// Per-vehicle index of one log directory: enough to answer a whole-log
+/// RANK without decoding anything, and to pick the few segments any other
+/// query must decode. A HistoryWriter keeps one current as it appends;
+/// Scan builds one from a read-only scan of a directory.
+class HistoryIndex {
+ public:
+  /// Indexes `dir` read-only, as HistoryReader::ReadDir reads it: a torn
+  /// tail's clean prefix is indexed and nothing on disk changes. A missing
+  /// directory indexes as an empty log.
+  static util::Status Scan(const std::string& dir, HistoryIndex* out);
+
+  /// Every vehicle with segments on disk, in id order.
+  const std::map<std::int32_t, VehicleIndex>& vehicles() const {
+    return vehicles_;
+  }
+
+  /// Decodes segment `segment` of `entry` (the entry of `vehicle_id`): the
+  /// active tail from memory, a sealed segment from its file, which must
+  /// verify and still match its summary.
+  util::Status Decode(std::int32_t vehicle_id, const VehicleIndex& entry,
+                      std::size_t segment,
+                      std::vector<HistoryRecord>* out) const;
+
+ private:
+  friend class HistoryWriter;
+
+  /// Indexes one decoded segment at the end of `vehicle_id`'s chain; a
+  /// non-null `tail_bytes` makes it the active tail and is moved in.
+  void AddSegment(std::int32_t vehicle_id, std::uint32_t ordinal,
+                  const std::vector<HistoryRecord>& records,
+                  std::vector<std::uint8_t>* tail_bytes);
+
+  std::string dir_;
+  std::map<std::int32_t, VehicleIndex> vehicles_;
+};
+
 /// Counters of one writer's lifetime (diagnostics and bench reporting).
 struct WriterStats {
   std::uint64_t records_appended = 0;   ///< Accepted (new) records.
@@ -149,8 +251,9 @@ class HistoryWriter {
   HistoryWriter& operator=(const HistoryWriter&) = delete;
 
   /// Opens (creating if needed) the log directory: scans existing
-  /// segments, truncates any torn tail, and recovers each vehicle's
-  /// append cursor so re-appends of already-logged records are skipped.
+  /// segments, truncates any torn tail, recovers each vehicle's append
+  /// cursor so re-appends of already-logged records are skipped, and
+  /// rebuilds the index.
   util::Status Open(const std::string& dir);
 
   /// Appends one record (routing by vehicle id; unknown vehicles start a
@@ -169,11 +272,16 @@ class HistoryWriter {
   /// Lifetime counters.
   const WriterStats& stats() const { return stats_; }
 
+  /// The index of every record written out in blocks (buffered records
+  /// join it at the next Flush).
+  const HistoryIndex& index() const { return index_; }
+
   /// The opened directory (empty before Open).
   const std::string& dir() const { return dir_; }
 
  private:
   /// Per-vehicle append state: the active tail and the idempotence cursor.
+  /// The tail's bytes live in the vehicle's index entry.
   struct VehicleLog {
     std::uint32_t next_ordinal = 0;  ///< Ordinal the next segment takes.
     int fd = -1;                     ///< Open .part file, -1 when none.
@@ -185,7 +293,6 @@ class HistoryWriter {
     std::uint32_t segment_version = kSegmentVersion;
     std::uint64_t prev_seq = 0;      ///< Delta-chain cursor (seq).
     std::int64_t prev_ts = 0;        ///< Delta-chain cursor (timestamp).
-    std::vector<std::uint8_t> mirror;  ///< In-memory copy of the .part.
     std::vector<HistoryRecord> pending;  ///< Records not yet in a block.
     bool has_logged = false;         ///< Any record accepted/recovered.
     std::uint64_t last_seq = 0;      ///< Idempotence cursor: last seq.
@@ -198,12 +305,14 @@ class HistoryWriter {
   util::Status StartSegment(std::int32_t vehicle_id, VehicleLog* log,
                             const HistoryRecord& first);
   util::Status WriteBlock(std::int32_t vehicle_id, VehicleLog* log);
-  util::Status SealSegment(std::int32_t vehicle_id, VehicleLog* log);
+  util::Status SealSegment(VehicleLog* log,
+                           std::vector<std::uint8_t>* tail_bytes);
 
   HistoryConfig config_;
   std::string dir_;
   bool open_ = false;
   std::map<std::int32_t, VehicleLog> vehicles_;
+  HistoryIndex index_;
   WriterStats stats_;
 };
 

@@ -5,7 +5,7 @@
 namespace navarchos::history {
 
 HistoryService::HistoryService(std::string dir, HistoryConfig config)
-    : dir_(std::move(dir)), writer_(config), engine_(dir_) {}
+    : dir_(std::move(dir)), writer_(config), engine_(&writer_.index()) {}
 
 util::Status HistoryService::Open() {
   std::lock_guard<std::mutex> lock(mu_);
@@ -79,6 +79,8 @@ void HistoryService::AttachMetrics(obs::MetricsRegistry* registry) {
   append_us_ = registry->histogram("history.append_us");
   append_bytes_ = registry->counter("history.append_bytes");
   append_records_ = registry->counter("history.append_records");
+  engine_.set_decode_counter(
+      registry->counter("history.query_segments_decoded"));
 }
 
 }  // namespace navarchos::history

@@ -4,9 +4,12 @@
 // The FleetService history callback runs on worker threads (serialised by
 // the OrderedSink, but on whichever thread released the frame), while the
 // IngestServer answers QUERY messages from its own poll thread. The
-// HistoryService owns the writer and the query engine behind one mutex:
-// Append is the callback target, and each query first flushes buffered
-// blocks so a result always reflects every record released before it.
+// HistoryService owns the writer and a query engine over the writer's
+// index behind one mutex: Append is the callback target, and each query
+// first flushes buffered blocks so a result always reflects every record
+// released before it. A query holds the mutex for the index lookups and
+// for decoding at most the vehicle's tail and the sealed segments its
+// range overlaps - never a scan of the whole log.
 #ifndef NAVARCHOS_HISTORY_HISTORY_SERVICE_H_
 #define NAVARCHOS_HISTORY_HISTORY_SERVICE_H_
 
@@ -19,8 +22,9 @@
 #include "util/status.h"
 
 /// \file
-/// \brief HistoryService: the mutex-guarded writer + query engine pair
-/// that lets ingest append and the network front end query one log.
+/// \brief HistoryService: the mutex-guarded writer + index-backed query
+/// engine pair that lets ingest append and the network front end query one
+/// log.
 
 namespace navarchos::history {
 
@@ -59,12 +63,13 @@ class HistoryService {
   /// Writer counters (records appended/skipped, blocks, seals).
   WriterStats writer_stats() const;
 
-  /// Registers the append-path metrics in `registry` and starts
-  /// reporting: `history.append_records` (records offered and not dropped
-  /// by a latched error), `history.append_bytes` (nominal encoded record
-  /// bytes, a deterministic function of each record - not on-disk bytes,
-  /// which delta-compression makes layout-dependent) and the
-  /// `history.append_us` latency histogram. Observe-only. Call once,
+  /// Registers the history metrics in `registry` and starts reporting:
+  /// `history.append_records` (records offered and not dropped by a
+  /// latched error), `history.append_bytes` (nominal encoded record bytes,
+  /// a deterministic function of each record - not on-disk bytes, which
+  /// delta-compression makes layout-dependent), the `history.append_us`
+  /// latency histogram and `history.query_segments_decoded` (segments the
+  /// queries decoded, in-memory tails included). Observe-only. Call once,
   /// before the first Append; the registry must outlive the service.
   void AttachMetrics(obs::MetricsRegistry* registry);
 
@@ -78,7 +83,7 @@ class HistoryService {
   const std::string dir_;
   mutable std::mutex mu_;
   HistoryWriter writer_;
-  QueryEngine engine_;
+  QueryEngine engine_;  ///< Answers from writer_'s index.
   util::Status error_;
   obs::Counter* append_records_ = nullptr;  ///< Null until AttachMetrics.
   obs::Counter* append_bytes_ = nullptr;

@@ -4,11 +4,15 @@
 // exists for (the Anomaly-Advisor pattern): RANK orders the fleet's
 // vehicles by anomaly severity over a time window, TIMELINE returns one
 // vehicle's score/alarm series, and COMOVE reports which score channels
-// co-moved around a given alarm. Every query re-scans the log directory,
-// so results always reflect the latest flushed block; determinism is
-// inherited from the log (records are in the OrderedSink total order) and
-// from the engine's fixed iteration and tie-break rules - the same log
-// yields byte-identical results wherever and whenever a query runs.
+// co-moved around a given alarm. Every query answers from a HistoryIndex:
+// a whole-log RANK from the per-vehicle folds alone, anything else by
+// decoding only the vehicle's tail and the sealed segments its range
+// overlaps, so what a query decodes is bounded by its range and the
+// segment size, not by how long the log has run. Determinism is inherited
+// from the log (records are in the OrderedSink total order) and from the
+// engine's fixed iteration and tie-break rules - the same log yields
+// byte-identical results wherever and whenever a query runs, and the same
+// results a full scan would.
 #ifndef NAVARCHOS_HISTORY_QUERY_H_
 #define NAVARCHOS_HISTORY_QUERY_H_
 
@@ -17,22 +21,20 @@
 #include <vector>
 
 #include "history/history_log.h"
+#include "obs/metrics.h"
 #include "util/status.h"
 
 /// \file
-/// \brief QueryEngine answering RANK / TIMELINE / COMOVE over a history
-/// log directory, with deterministic ordering and tie-break rules.
+/// \brief QueryEngine answering RANK / TIMELINE / COMOVE from a history
+/// log's index, with deterministic ordering and tie-break rules.
 
 namespace navarchos::history {
 
-/// Severity of one record: score relative to its threshold (score/threshold
-/// when the threshold is positive, the raw score otherwise). Dimensionless,
-/// so it compares across detectors and reference cycles.
-double SeverityRatio(const HistoryRecord& record);
-
 /// RANK parameters: order the fleet by severity over a trailing window.
 struct RankQuery {
-  /// Window length in stream minutes; 0 ranks over the whole log.
+  /// Window length in stream minutes; 0 ranks over the whole log. A window
+  /// whose start would fall below the int64 range holds every record up to
+  /// end_ts.
   std::int64_t window_minutes = 0;
   /// Window end (inclusive); 0 means the latest timestamp in the log.
   std::int64_t end_ts = 0;
@@ -101,13 +103,22 @@ struct ComoveResult {
   std::vector<ComoveEntry> entries;
 };
 
-/// Answers RANK / TIMELINE / COMOVE over one history log directory. Each
-/// call re-scans the directory (tolerating a torn tail segment), so a
-/// single engine can serve queries while a writer keeps appending.
+/// Answers RANK / TIMELINE / COMOVE from one HistoryIndex: either a live
+/// writer's (HistoryService serialises its appends and queries) or its own,
+/// built by a read-only scan of a directory.
 class QueryEngine {
  public:
-  /// Builds an engine over `dir` (not opened until the first query).
-  explicit QueryEngine(std::string dir);
+  /// Indexes `dir` now, read-only (a torn tail's clean prefix is served,
+  /// nothing on disk changes), and answers from that index; build a new
+  /// engine to see later appends. A scan error is every query's answer.
+  explicit QueryEngine(const std::string& dir);
+
+  /// Answers from `index`, which the caller keeps current and must not
+  /// change during a query.
+  explicit QueryEngine(const HistoryIndex* index);
+
+  QueryEngine(const QueryEngine&) = delete;
+  QueryEngine& operator=(const QueryEngine&) = delete;
 
   /// Ranks the fleet's vehicles by severity over the query window.
   util::Status Rank(const RankQuery& query, RankResult* out) const;
@@ -119,11 +130,20 @@ class QueryEngine {
   /// when no alarmed record carries `alarm_seq`.
   util::Status Comove(const ComoveQuery& query, ComoveResult* out) const;
 
-  /// The log directory this engine scans.
-  const std::string& dir() const { return dir_; }
+  /// Counts every segment a query decodes (an in-memory tail included)
+  /// into `counter`; null stops counting.
+  void set_decode_counter(obs::Counter* counter) { decoded_ = counter; }
 
  private:
-  std::string dir_;
+  /// Decodes segment `segment` of one vehicle's chain and counts it.
+  util::Status Decode(std::int32_t vehicle_id, const VehicleIndex& entry,
+                      std::size_t segment,
+                      std::vector<HistoryRecord>* out) const;
+
+  HistoryIndex scanned_;  ///< The read-only scan's index, when there is one.
+  const HistoryIndex* index_;
+  util::Status status_;  ///< The read-only scan's outcome.
+  obs::Counter* decoded_ = nullptr;
 };
 
 }  // namespace navarchos::history

@@ -2,9 +2,11 @@
 // can be computed on paper: RANK's severity-ratio aggregation, window
 // filtering, ordering and tie-breaks; TIMELINE's range filter and
 // newest-tail truncation; COMOVE's rank-weighted channel accumulation,
-// window clamping and anchor resolution errors.
+// window clamping and anchor resolution errors; and RANK windows whose
+// start would fall below the int64 range.
 #include <cstdint>
 #include <filesystem>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -252,6 +254,54 @@ TEST(QueryEngineTest, ComoveRequiresAnAlarmedAnchor) {
   EXPECT_NE(status.message().find("40"), std::string::npos);
   query.alarm_seq = 999;
   EXPECT_FALSE(engine.Comove(query, &result).ok());
+  std::filesystem::remove_all(dir);
+}
+
+TEST(QueryEngineTest, RankWindowReachingBelowInt64CoversEverythingUpToItsEnd) {
+  const std::string dir = FreshDir("navq_rank_window_min");
+  WriteLog(dir, {
+    MakeRecord(1, 10, -10, 2.0, 1.0, true),
+    MakeRecord(1, 11, -5, 1.0, 1.0, false),
+    MakeRecord(1, 12, -2, 3.0, 1.0, false),
+    MakeRecord(1, 13, 4, 9.0, 1.0, true),  // after end_ts
+  });
+  // end_ts - window_minutes would fall below INT64_MIN: the window is open
+  // below, so it holds every record at or before end_ts.
+  RankQuery query;
+  query.window_minutes = std::numeric_limits<std::int64_t>::max();
+  query.end_ts = -2;
+  const QueryEngine engine(dir);
+  RankResult result;
+  ASSERT_TRUE(engine.Rank(query, &result).ok());
+  ASSERT_EQ(result.entries.size(), 1u);
+  EXPECT_EQ(result.entries[0].records, 3u);
+  EXPECT_EQ(result.entries[0].alarms, 1u);
+  EXPECT_EQ(result.entries[0].mean_ratio, 2.0);
+  EXPECT_EQ(result.entries[0].max_ratio, 3.0);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(QueryEngineTest, RankWindowEndingAtInt64MinHoldsOnlyThatInstant) {
+  const std::string dir = FreshDir("navq_rank_end_min");
+  const std::int64_t min = std::numeric_limits<std::int64_t>::min();
+  // Vehicle 2's only record sits at INT64_MIN, the first of its segment,
+  // so its timestamp delta stays in range.
+  WriteLog(dir, {
+    MakeRecord(1, 10, 100, 2.0, 1.0, true),
+    MakeRecord(1, 11, 110, 1.0, 1.0, false),
+    MakeRecord(2, 12, min, 5.0, 1.0, true),
+    MakeRecord(1, 13, 120, 3.0, 1.0, false),
+  });
+  RankQuery query;
+  query.window_minutes = 1;
+  query.end_ts = min;
+  const QueryEngine engine(dir);
+  RankResult result;
+  ASSERT_TRUE(engine.Rank(query, &result).ok());
+  ASSERT_EQ(result.entries.size(), 1u);
+  EXPECT_EQ(result.entries[0].vehicle_id, 2);
+  EXPECT_EQ(result.entries[0].records, 1u);
+  EXPECT_EQ(result.entries[0].mean_ratio, 5.0);
   std::filesystem::remove_all(dir);
 }
 
